@@ -651,8 +651,7 @@ def cmd_analyze(args) -> int:
         memstat = MemStat() if args.memory else None
         workload = _build(args.workload, args.size)
         if args.dae:
-            fresh = _build(args.workload, args.size)
-            specs = prepare_dae_sliced(fresh.kernel, fresh.args,
+            specs = prepare_dae_sliced(workload.kernel, workload.args,
                                        pairs=args.pairs)
             stats = simulate_dae(specs, access_core=inorder_core(),
                                  execute_core=inorder_core(),
@@ -680,6 +679,7 @@ def cmd_analyze(args) -> int:
                 max_cycles=args.max_cycles, attribution=attribution,
                 prep_cache=_prep_cache(args),
                 checkpoint=_checkpoint_sink(args), memstat=memstat)
+        workload.verify()
         document = stats_to_dict(stats)
         validate_report(document)  # self-check before rendering
         if args.json:
@@ -780,8 +780,7 @@ def cmd_memstat(args) -> int:
                      else _hierarchy(args.hierarchy))
         workload = _build(args.workload, args.size)
         if args.dae:
-            fresh = _build(args.workload, args.size)
-            specs = prepare_dae_sliced(fresh.kernel, fresh.args,
+            specs = prepare_dae_sliced(workload.kernel, workload.args,
                                        pairs=args.pairs)
             stats = simulate_dae(specs, access_core=inorder_core(),
                                  execute_core=inorder_core(),
@@ -796,6 +795,7 @@ def cmd_memstat(args) -> int:
                 accelerators=_detect_accelerators(workload.kernel),
                 max_cycles=args.max_cycles, attribution=Attributor(),
                 prep_cache=_prep_cache(args), memstat=memstat)
+        workload.verify()
         document = stats_to_dict(stats)
         validate_report(document)  # self-check incl. memory conservation
         if args.json:

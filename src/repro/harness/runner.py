@@ -35,7 +35,7 @@ from ..sim.errors import (
     SimulationError, SimulationInterrupted, WatchdogTimeout,
 )
 from ..sim.events import Scheduler
-from ..sim.interleaver import Interleaver
+from ..sim.interleaver import DEFAULT_MAX_CYCLES, Interleaver
 from ..sim.statistics import SystemStats
 from ..telemetry.profiler import ProfileReport
 from ..trace.interpreter import Interpreter
@@ -46,8 +46,6 @@ from .status import STATUS
 from .systems import DAE_QUEUE_ENTRIES
 
 Kernel = Union[str, Callable, Function]
-
-DEFAULT_MAX_CYCLES = 2_000_000_000
 
 
 def _infer_memory(args: Sequence) -> SimMemory:
@@ -168,120 +166,98 @@ def prepare(kernel: Kernel, args: Sequence, *, num_tiles: int = 1,
     return prepared
 
 
-def _check_trace_count(prepared: Prepared, num_tiles: int, detail: str,
+def _check_trace_count(prepared: Prepared, num_tiles: int,
                        strict: bool = False) -> None:
     """Symmetric trace-count validation: too few traces always raises
     (tiles would have nothing to run); extra traces warn — they are
     silently dropped otherwise, usually a sign the caller prepared for a
     different tile count — or raise under ``strict``."""
     count = len(prepared.traces)
+    detail = (f"prepared traces cover {count} tile(s) but the system has "
+              f"{num_tiles}; call prepare(..., num_tiles={num_tiles}) first")
     if count < num_tiles:
-        raise ValueError(
-            f"prepared traces cover {count} tile(s) but {detail}")
+        raise ValueError(detail)
     if count > num_tiles:
-        message = (f"prepared traces cover {count} tile(s) but {detail}; "
-                   f"the extra {count - num_tiles} trace(s) are ignored")
+        message = (f"{detail}; the extra {count - num_tiles} trace(s) are "
+                   f"ignored")
         if strict:
             raise ValueError(message)
         STATUS.warn(message)
 
 
+def _assemble(layout: Sequence[Tuple[str, CoreConfig, StaticDDG,
+                                     KernelTrace]],
+              queue_entries: int = DAE_QUEUE_ENTRIES, /, *,
+              hierarchy: Optional[MemoryHierarchyConfig],
+              accelerators: Optional[AcceleratorFarm],
+              injector: Optional[FaultInjector],
+              **run_options) -> Interleaver:
+    """The one place a system is put together (paper §II "Timing
+    Integration"): one :class:`CoreTile` per ``(name, core, ddg, trace)``
+    entry of ``layout`` (tile id = position), one scheduler, memory
+    system and fabric shared by all of them, and the Interleaver that
+    coordinates them.
+
+    One clock rule for every system: the global clock is the fastest
+    core's, and each tile's period is that clock over its own, rounded
+    to whole global cycles. ``run_options`` (budgets and instruments)
+    go to the :class:`Interleaver` unchanged. ``queue_entries`` is
+    positional-only so that a ``queue_entries=`` keyword given to an SPMD
+    builder lands in ``run_options`` and is rejected there.
+    """
+    if not layout:
+        raise ValueError("a system needs at least one tile")
+    fastest = max(core.frequency_ghz for _, core, _, _ in layout)
+    tiles = [CoreTile(name, index, core, ddg, trace,
+                      period=max(1, round(fastest / core.frequency_ghz)))
+             for index, (name, core, ddg, trace) in enumerate(layout)]
+    for tile in tiles:
+        tile.barrier_group_size = len(tiles)
+    scheduler = Scheduler()
+    memsys = None
+    if hierarchy is not None:
+        memsys = MemorySystem(hierarchy, len(tiles), scheduler, fastest,
+                              injector=injector)
+    if accelerators is not None and injector is not None:
+        accelerators.injector = injector
+    return Interleaver(tiles, memory=memsys,
+                       fabric=CommFabric(queue_entries, injector=injector),
+                       accelerators=accelerators, frequency_ghz=fastest,
+                       scheduler=scheduler, **run_options)
+
+
 def build_system(kernel: Kernel, args: Sequence, *,
-                 core: Optional[CoreConfig] = None,
-                 num_tiles: int = 1,
-                 hierarchy: Optional[MemoryHierarchyConfig] = None,
-                 accelerators: Optional[AcceleratorFarm] = None,
-                 memory: Optional[SimMemory] = None,
-                 frequency_ghz: Optional[float] = None,
-                 prepared: Optional[Prepared] = None,
-                 max_cycles: int = DEFAULT_MAX_CYCLES,
-                 wall_clock_limit: Optional[float] = None,
-                 injector: Optional[FaultInjector] = None,
-                 prep_cache: Optional[PrepareCache] = None,
-                 strict_traces: bool = False,
-                 tracer=None, metrics=None, profiler=None,
-                 attribution=None, checkpoint=None,
-                 emitter=None, memstat=None) -> Interleaver:
+                 core: Optional[CoreConfig] = None, num_tiles: int = 1,
+                 **options) -> Interleaver:
     """Build (without running) the homogeneous system :func:`simulate`
-    would run: ``num_tiles`` copies of ``core`` over a shared hierarchy.
+    would run: :func:`build_heterogeneous` on ``[core] * num_tiles``.
 
     The build/run split is what checkpoint tests and the graceful-
     interrupt path hang off: the returned Interleaver can be armed for
     signals, run under a cycle budget, snapshotted, and resumed.
     """
     core = core if core is not None else CoreConfig()
-    core.validate()
-    if prepared is None:
-        prepared = prepare(kernel, args, num_tiles=num_tiles, memory=memory,
-                           injector=injector, cache=prep_cache)
-    _check_trace_count(prepared, num_tiles,
-                       f"num_tiles={num_tiles}; call prepare(..., "
-                       f"num_tiles={num_tiles}) first",
-                       strict=strict_traces)
-    freq = frequency_ghz if frequency_ghz is not None else core.frequency_ghz
-    scheduler = Scheduler()
-    memsys = None
-    if hierarchy is not None:
-        memsys = MemorySystem(hierarchy, num_tiles, scheduler, freq,
-                              injector=injector)
-    fabric = CommFabric(injector=injector) if injector is not None else None
-    if accelerators is not None and injector is not None:
-        accelerators.injector = injector
-    tiles = []
-    for t in range(num_tiles):
-        tile = CoreTile(f"{core.name}{t}", t, core, prepared.ddg,
-                        prepared.traces[t])
-        tile.barrier_group_size = num_tiles
-        tiles.append(tile)
-    return Interleaver(tiles, memory=memsys, fabric=fabric,
-                       accelerators=accelerators,
-                       frequency_ghz=freq, max_cycles=max_cycles,
-                       scheduler=scheduler,
-                       wall_clock_limit=wall_clock_limit,
-                       tracer=tracer, metrics=metrics,
-                       profiler=profiler, attribution=attribution,
-                       checkpoint=checkpoint, emitter=emitter,
-                       memstat=memstat)
+    return build_heterogeneous(kernel, args, cores=[core] * num_tiles,
+                               **options)
 
 
-def simulate(kernel: Kernel, args: Sequence, *,
-             core: Optional[CoreConfig] = None,
-             num_tiles: int = 1,
-             hierarchy: Optional[MemoryHierarchyConfig] = None,
-             accelerators: Optional[AcceleratorFarm] = None,
-             memory: Optional[SimMemory] = None,
-             frequency_ghz: Optional[float] = None,
-             prepared: Optional[Prepared] = None,
-             max_cycles: int = DEFAULT_MAX_CYCLES,
-             wall_clock_limit: Optional[float] = None,
-             injector: Optional[FaultInjector] = None,
-             prep_cache: Optional[PrepareCache] = None,
-             strict_traces: bool = False,
-             tracer=None, metrics=None, profiler=None,
-             attribution=None, checkpoint=None,
-             emitter=None, memstat=None) -> SystemStats:
+def simulate(kernel: Kernel, args: Sequence, **options) -> SystemStats:
     """One-stop homogeneous simulation: ``num_tiles`` copies of ``core``
-    running the SPMD kernel over a shared memory hierarchy.
+    running the SPMD kernel over a shared memory hierarchy. Takes the
+    keywords of :func:`build_system`.
 
     ``injector`` wires timing-level fault injection (fabric, DRAM,
-    accelerators) into the run; ``wall_clock_limit`` arms the watchdog.
-    ``prep_cache`` replays compiled kernels + traces from the
-    content-addressed prepare cache (see ``docs/performance.md``).
-    ``tracer``/``metrics``/``profiler``/``attribution`` attach the
-    telemetry layer (see ``docs/observability.md``); ``checkpoint`` (a
-    :class:`~repro.checkpoint.CheckpointSink`) arms periodic autosave
-    (see ``docs/resilience.md``). All default to off.
+    accelerators) into the run. ``prep_cache`` replays compiled kernels
+    + traces from the content-addressed prepare cache (see
+    ``docs/performance.md``). The run options are the
+    :class:`Interleaver`'s own keywords, forwarded unchanged:
+    ``max_cycles``, ``wall_clock_limit`` (the watchdog), the telemetry
+    instruments ``tracer``/``metrics``/``profiler``/``attribution``/
+    ``memstat``/``emitter`` (see ``docs/observability.md``) and
+    ``checkpoint`` (a :class:`~repro.checkpoint.CheckpointSink`, see
+    ``docs/resilience.md``). All default to off.
     """
-    return build_system(
-        kernel, args, core=core, num_tiles=num_tiles, hierarchy=hierarchy,
-        accelerators=accelerators, memory=memory,
-        frequency_ghz=frequency_ghz, prepared=prepared,
-        max_cycles=max_cycles, wall_clock_limit=wall_clock_limit,
-        injector=injector, prep_cache=prep_cache,
-        strict_traces=strict_traces, tracer=tracer, metrics=metrics,
-        profiler=profiler, attribution=attribution,
-        checkpoint=checkpoint, emitter=emitter,
-        memstat=memstat).run()
+    return build_system(kernel, args, **options).run()
 
 
 def build_heterogeneous(kernel: Kernel, args: Sequence, *,
@@ -290,87 +266,39 @@ def build_heterogeneous(kernel: Kernel, args: Sequence, *,
                         accelerators: Optional[AcceleratorFarm] = None,
                         memory: Optional[SimMemory] = None,
                         prepared: Optional[Prepared] = None,
-                        max_cycles: int = DEFAULT_MAX_CYCLES,
-                        wall_clock_limit: Optional[float] = None,
                         injector: Optional[FaultInjector] = None,
                         prep_cache: Optional[PrepareCache] = None,
                         strict_traces: bool = False,
-                        tracer=None, metrics=None, profiler=None,
-                        attribution=None, checkpoint=None,
-                        emitter=None, memstat=None) -> Interleaver:
+                        **run_options) -> Interleaver:
     """Build (without running) the heterogeneous system
-    :func:`simulate_heterogeneous` would run."""
-    if not cores:
-        raise ValueError("simulate_heterogeneous needs at least one core")
-    for c in cores:
-        c.validate()
-    num_tiles = len(cores)
+    :func:`simulate_heterogeneous` would run: tile ``i`` runs
+    ``cores[i]`` and is named ``f"{cores[i].name}{i}"``."""
+    for core in cores:
+        core.validate()
     if prepared is None:
-        prepared = prepare(kernel, args, num_tiles=num_tiles, memory=memory,
-                           injector=injector, cache=prep_cache)
-    _check_trace_count(prepared, num_tiles,
-                       f"{num_tiles} cores were given",
-                       strict=strict_traces)
-    fastest = max(core.frequency_ghz for core in cores)
-    scheduler = Scheduler()
-    memsys = None
-    if hierarchy is not None:
-        memsys = MemorySystem(hierarchy, num_tiles, scheduler, fastest,
-                              injector=injector)
-    fabric = CommFabric(injector=injector) if injector is not None else None
-    if accelerators is not None and injector is not None:
-        accelerators.injector = injector
-    tiles = []
-    for index, core in enumerate(cores):
-        period = max(1, round(fastest / core.frequency_ghz))
-        tile = CoreTile(f"{core.name}{index}", index, core, prepared.ddg,
-                        prepared.traces[index], period=period)
-        tile.barrier_group_size = num_tiles
-        tiles.append(tile)
-    return Interleaver(tiles, memory=memsys, fabric=fabric,
-                       accelerators=accelerators,
-                       frequency_ghz=fastest, max_cycles=max_cycles,
-                       scheduler=scheduler,
-                       wall_clock_limit=wall_clock_limit,
-                       tracer=tracer, metrics=metrics,
-                       profiler=profiler, attribution=attribution,
-                       checkpoint=checkpoint, emitter=emitter,
-                       memstat=memstat)
+        prepared = prepare(kernel, args, num_tiles=len(cores),
+                           memory=memory, injector=injector,
+                           cache=prep_cache)
+    _check_trace_count(prepared, len(cores), strict=strict_traces)
+    layout = [(f"{core.name}{index}", core, prepared.ddg,
+               prepared.traces[index]) for index, core in enumerate(cores)]
+    return _assemble(layout, hierarchy=hierarchy, accelerators=accelerators,
+                     injector=injector, **run_options)
 
 
-def simulate_heterogeneous(kernel: Kernel, args: Sequence, *,
-                           cores: Sequence[CoreConfig],
-                           hierarchy: Optional[MemoryHierarchyConfig] = None,
-                           accelerators: Optional[AcceleratorFarm] = None,
-                           memory: Optional[SimMemory] = None,
-                           prepared: Optional[Prepared] = None,
-                           max_cycles: int = DEFAULT_MAX_CYCLES,
-                           wall_clock_limit: Optional[float] = None,
-                           injector: Optional[FaultInjector] = None,
-                           prep_cache: Optional[PrepareCache] = None,
-                           strict_traces: bool = False,
-                           tracer=None, metrics=None, profiler=None,
-                           attribution=None, checkpoint=None,
-                           emitter=None, memstat=None) -> SystemStats:
+def simulate_heterogeneous(kernel: Kernel, args: Sequence,
+                           **options) -> SystemStats:
     """Heterogeneous SPMD simulation: one tile per entry of ``cores``,
     each with its own microarchitecture and clock (paper §II: "MosaicSim
     can simulate more heterogeneous processors by providing, and hence
     interleaving, more diverse models"; "tiles may run at different clock
     speeds, so the Interleaver queries and coordinates their events
-    accordingly").
+    accordingly"). Takes the keywords of :func:`build_heterogeneous`.
 
     The global clock is the fastest tile's; slower tiles get proportional
     periods (rounded to whole global cycles).
     """
-    return build_heterogeneous(
-        kernel, args, cores=cores, hierarchy=hierarchy,
-        accelerators=accelerators, memory=memory, prepared=prepared,
-        max_cycles=max_cycles, wall_clock_limit=wall_clock_limit,
-        injector=injector, prep_cache=prep_cache,
-        strict_traces=strict_traces, tracer=tracer, metrics=metrics,
-        profiler=profiler, attribution=attribution,
-        checkpoint=checkpoint, emitter=emitter,
-        memstat=memstat).run()
+    return build_heterogeneous(kernel, args, **options).run()
 
 
 @dataclass
@@ -431,77 +359,34 @@ def build_dae(specs: List[DAEPairSpec], *,
               hierarchy: Optional[MemoryHierarchyConfig] = None,
               accelerators: Optional[AcceleratorFarm] = None,
               queue_entries: int = DAE_QUEUE_ENTRIES,
-              frequency_ghz: Optional[float] = None,
-              max_cycles: int = DEFAULT_MAX_CYCLES,
-              wall_clock_limit: Optional[float] = None,
               injector: Optional[FaultInjector] = None,
-              tracer=None, metrics=None, profiler=None,
-              attribution=None, checkpoint=None,
-              emitter=None, memstat=None) -> Interleaver:
+              **run_options) -> Interleaver:
     """Build (without running) the DAE system :func:`simulate_dae`
-    would run."""
+    would run: access tiles ``access{p}`` first, then the matching
+    execute tiles ``execute{p}``; pair ``p`` shares DAE queue ``p``."""
     pairs = len(specs)
     access_core.validate()
     execute_core.validate()
-    freq = frequency_ghz if frequency_ghz is not None \
-        else access_core.frequency_ghz
-    scheduler = Scheduler()
-    memsys = None
-    if hierarchy is not None:
-        memsys = MemorySystem(hierarchy, 2 * pairs, scheduler, freq,
-                              injector=injector)
-    fabric = CommFabric(dae_queue_capacity=queue_entries, injector=injector)
-    if accelerators is not None and injector is not None:
-        accelerators.injector = injector
-    tiles = []
-    for p, spec in enumerate(specs):
-        access = CoreTile(f"access{p}", p, access_core, spec.access_ddg,
-                          spec.access_trace)
-        access.dae_queue_names = {"load": f"load{p}", "store": f"store{p}"}
-        access.barrier_group = "dae-access"
-        access.barrier_group_size = pairs
-        tiles.append(access)
-    for p, spec in enumerate(specs):
-        execute = CoreTile(f"execute{p}", pairs + p, execute_core,
-                           spec.execute_ddg, spec.execute_trace)
-        execute.dae_queue_names = {"load": f"load{p}", "store": f"store{p}"}
-        execute.barrier_group = "dae-execute"
-        execute.barrier_group_size = pairs
-        tiles.append(execute)
-    return Interleaver(tiles, memory=memsys, fabric=fabric,
-                       accelerators=accelerators, frequency_ghz=freq,
-                       max_cycles=max_cycles, scheduler=scheduler,
-                       wall_clock_limit=wall_clock_limit,
-                       tracer=tracer, metrics=metrics,
-                       profiler=profiler, attribution=attribution,
-                       checkpoint=checkpoint, emitter=emitter,
-                       memstat=memstat)
+    layout = ([(f"access{p}", access_core, spec.access_ddg,
+                spec.access_trace) for p, spec in enumerate(specs)]
+              + [(f"execute{p}", execute_core, spec.execute_ddg,
+                  spec.execute_trace) for p, spec in enumerate(specs)])
+    system = _assemble(layout, queue_entries, hierarchy=hierarchy,
+                       accelerators=accelerators, injector=injector,
+                       **run_options)
+    for index, tile in enumerate(system.tiles):
+        p = index % pairs
+        tile.dae_queue_names = {"load": f"load{p}", "store": f"store{p}"}
+        tile.barrier_group = "dae-access" if index < pairs else "dae-execute"
+        tile.barrier_group_size = pairs
+    return system
 
 
-def simulate_dae(specs: List[DAEPairSpec], *,
-                 access_core: CoreConfig,
-                 execute_core: CoreConfig,
-                 hierarchy: Optional[MemoryHierarchyConfig] = None,
-                 accelerators: Optional[AcceleratorFarm] = None,
-                 queue_entries: int = DAE_QUEUE_ENTRIES,
-                 frequency_ghz: Optional[float] = None,
-                 max_cycles: int = DEFAULT_MAX_CYCLES,
-                 wall_clock_limit: Optional[float] = None,
-                 injector: Optional[FaultInjector] = None,
-                 tracer=None, metrics=None, profiler=None,
-                 attribution=None, checkpoint=None,
-                 emitter=None, memstat=None) -> SystemStats:
+def simulate_dae(specs: List[DAEPairSpec], **options) -> SystemStats:
     """Simulate P DAE pairs: tiles 0..P-1 are access cores, P..2P-1 the
-    matching execute cores, communicating through bounded DAE queues."""
-    return build_dae(
-        specs, access_core=access_core, execute_core=execute_core,
-        hierarchy=hierarchy, accelerators=accelerators,
-        queue_entries=queue_entries, frequency_ghz=frequency_ghz,
-        max_cycles=max_cycles, wall_clock_limit=wall_clock_limit,
-        injector=injector, tracer=tracer, metrics=metrics,
-        profiler=profiler, attribution=attribution,
-        checkpoint=checkpoint, emitter=emitter,
-        memstat=memstat).run()
+    matching execute cores, communicating through bounded DAE queues.
+    Takes the keywords of :func:`build_dae`."""
+    return build_dae(specs, **options).run()
 
 
 # -- graceful interrupts (robustness layer) --------------------------------------
@@ -549,10 +434,6 @@ class FaultedRun:
     stats: SystemStats
     fault_log: Tuple[FaultRecord, ...]
     injector: FaultInjector
-
-    @property
-    def fault_summary(self):
-        return self.injector.summary()
 
 
 def run_with_faults(kernel: Kernel, args: Sequence, *,
@@ -632,23 +513,17 @@ def _is_transient(exc: BaseException) -> bool:
 
 def run_supervised(kernel: Kernel, args: Sequence, *,
                    plan: Optional[FaultPlan] = None,
-                   core: Optional[CoreConfig] = None,
-                   num_tiles: int = 1,
-                   hierarchy: Optional[MemoryHierarchyConfig] = None,
-                   accelerators: Optional[AcceleratorFarm] = None,
                    memory: Optional[SimMemory] = None,
-                   max_cycles: int = DEFAULT_MAX_CYCLES,
-                   wall_clock_limit: Optional[float] = None,
                    retries: int = 0,
                    backoff_seconds: float = 0.0,
                    fresh: Optional[Callable[[], tuple]] = None,
                    prepared: Optional[Prepared] = None,
-                   prep_cache: Optional[PrepareCache] = None,
-                   tracer=None, metrics=None, profiler=None,
-                   attribution=None, checkpoint=None,
-                   emitter=None, memstat=None) -> RunOutcome:
+                   profiler=None, **options) -> RunOutcome:
     """Run a simulation under supervision: cycle budget, wall-clock
-    watchdog, and retry-with-backoff for transient faults.
+    watchdog, and retry-with-backoff for transient faults. The system
+    and run options (``core``, ``num_tiles``, ``hierarchy``,
+    ``max_cycles``, ``wall_clock_limit``, ``prep_cache``, instruments,
+    ...) go to :func:`simulate` unchanged on every attempt.
 
     Never raises for simulation failures — returns a :class:`RunOutcome`
     whose ``status`` classifies what happened, so sweeps degrade
@@ -692,16 +567,9 @@ def run_supervised(kernel: Kernel, args: Sequence, *,
             attempt_prepared = None
         attempts += 1
         try:
-            stats = simulate(k, a, core=core, num_tiles=num_tiles,
-                             hierarchy=hierarchy, accelerators=accelerators,
-                             memory=m, max_cycles=max_cycles,
-                             wall_clock_limit=wall_clock_limit,
-                             prepared=attempt_prepared,
-                             prep_cache=prep_cache,
-                             injector=injector, tracer=tracer,
-                             metrics=metrics, profiler=profiler,
-                             attribution=attribution, checkpoint=checkpoint,
-                             emitter=emitter, memstat=memstat)
+            stats = simulate(k, a, memory=m, prepared=attempt_prepared,
+                             injector=injector, profiler=profiler,
+                             **options)
             return RunOutcome(
                 "ok", stats=stats, attempts=attempts,
                 fault_log=tuple(injector.log) if injector else (),

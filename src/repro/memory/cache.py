@@ -221,10 +221,6 @@ class Cache:
         cache_set = self._sets[line % self.config.num_sets]
         return (line // self.config.num_sets) in cache_set.lines
 
-    @property
-    def mshr_occupancy(self) -> int:
-        return len(self._mshr)
-
 
 class _StreamPrefetcher:
     """Detects constant-stride access chains and fetches lines ahead

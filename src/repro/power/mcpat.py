@@ -28,10 +28,6 @@ class AreaBreakdown:
     l1_mm2: float
     l2_share_mm2: float
 
-    @property
-    def total_mm2(self) -> float:
-        return self.core_mm2 + self.l1_mm2 + self.l2_share_mm2
-
 
 def core_area_mm2(config: CoreConfig) -> float:
     """Estimate core area by interpolating between the Table II anchors.

@@ -96,10 +96,6 @@ class DynNode:
         # scan reads it without going through snode)
 
     @property
-    def addr_resolved(self) -> bool:
-        return self.addr_producer is None or self.addr_producer.completed
-
-    @property
     def completed(self) -> bool:
         return self.state == _DONE
 
@@ -429,11 +425,6 @@ class CoreTile(Tile):
             state["attribution"] = self.attributor.snapshot()
         return state
 
-    def _check_finished(self) -> None:
-        if (self._next_dbb >= self._num_blocks
-                and not self._in_flight):
-            self._finished = True
-
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> int:
         attributor = self.attributor
@@ -545,14 +536,6 @@ class CoreTile(Tile):
     _PREDICTED_MODES = ("static", "twobit", "gshare")
 
     # -- DBB launching -----------------------------------------------------
-    def _launch_allowed(self) -> bool:
-        """Branch-speculation gate (paper §III-C); kept for
-        introspection — ``step`` inlines the same condition."""
-        term = self._last_terminator
-        return (term is None or self._spec_perfect
-                or (self._speculates and self._prediction_correct)
-                or term.state == _DONE)
-
     def _launch_dbb(self, cycle: int) -> bool:
         """Try to launch the next DBB from the trace; False if blocked on
         resource limits (window headroom, live-DBB limit, MAO space)."""

@@ -51,10 +51,13 @@ from .statistics import SystemStats
 from .tile import NEVER, Tile
 
 __all__ = [
-    "CheckpointError", "CycleBudgetExceeded", "DeadlockError", "Interleaver",
-    "SimulationError", "SimulationInterrupted", "TileServices",
-    "WatchdogTimeout",
+    "CheckpointError", "CycleBudgetExceeded", "DeadlockError",
+    "DEFAULT_MAX_CYCLES", "Interleaver", "SimulationError",
+    "SimulationInterrupted", "TileServices", "WatchdogTimeout",
 ]
+
+#: cycle budget of a run that sets none
+DEFAULT_MAX_CYCLES = 2_000_000_000
 
 
 class TileServices:
@@ -105,7 +108,7 @@ class Interleaver:
                  fabric: Optional[CommFabric] = None,
                  accelerators: Optional[AcceleratorFarm] = None,
                  frequency_ghz: float = 2.0,
-                 max_cycles: int = 2_000_000_000,
+                 max_cycles: int = DEFAULT_MAX_CYCLES,
                  scheduler: Optional[Scheduler] = None,
                  wall_clock_limit: Optional[float] = None,
                  tracer=None, metrics=None, profiler=None,

@@ -420,12 +420,6 @@ class MemStat:
         self.noc = NoCLinkObserver(self.epoch_cycles)
         return self.noc
 
-    def queue_histogram(self, name: str) -> Histogram:
-        hist = self.queue_depth.get(name)
-        if hist is None:
-            hist = self.queue_depth[name] = Histogram(QUEUE_DEPTH_BUCKETS)
-        return hist
-
     # -- runtime hooks ---------------------------------------------------
     def observe_tile_access(self, core_id: int, address: int) -> None:
         tracker = self.tile_reuse.get(core_id)

@@ -104,11 +104,6 @@ class SimMemory:
         self._next += (size + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
         return ref
 
-    def alloc_like(self, values: Union[Sequence, np.ndarray],
-                   element_type: IRType, name: str = "arr") -> ArrayRef:
-        values = np.asarray(values)
-        return self.alloc(len(values), element_type, name, init=values)
-
     # ------------------------------------------------------------------
     def _segment_for(self, address: int) -> ArrayRef:
         index = bisect.bisect_right(self._bases, address) - 1

@@ -346,6 +346,31 @@ class TestCLI:
         report.write_text("{}")
         assert main(["analyze", "sgemm", "--report", str(report)]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "memstat"])
+    @pytest.mark.parametrize("dae", [False, True], ids=["spmd", "dae"])
+    def test_workload_is_verified(self, command, dae, monkeypatch, tmp_path,
+                                  capsys):
+        """Both paths check the functional result: a correct workload
+        renders, and a wrong one exits non-zero without a report."""
+        from dataclasses import replace
+
+        from repro import cli
+        from repro.workloads.sinkhorn import build_ewsd
+        mode = ["--dae"] if dae else []
+        report = tmp_path / "ok.json"
+        assert main([command, "ewsd", "--size", "nnz=64", "--size",
+                     "dense_len=128", "--json", str(report)] + mode) == 0
+        assert report.exists()
+        monkeypatch.setitem(
+            cli._EXTRA_WORKLOADS, "ewsd-wrong",
+            lambda: replace(build_ewsd(nnz=64, dense_len=128),
+                            check=lambda: False))
+        report = tmp_path / "wrong.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "ewsd-wrong", "--json", str(report)] + mode)
+        assert "produced incorrect output" in str(exc.value.code)
+        assert not report.exists()
+
     def test_diff_two_runs(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

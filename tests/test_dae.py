@@ -5,8 +5,8 @@ import pytest
 
 from repro.frontend import compile_kernel
 from repro.harness import (
-    dae_hierarchy, inorder_core, ooo_core, prepare_dae, prepare_dae_sliced,
-    simulate, simulate_dae,
+    build_dae, dae_hierarchy, inorder_core, ooo_core, prepare_dae,
+    prepare_dae_sliced, simulate, simulate_dae, xeon_core,
 )
 from repro.ir import F64, I64, Opcode, verify_function
 from repro.passes import build_ddg
@@ -181,6 +181,19 @@ class TestDAETiming:
                             execute_core=inorder_core(),
                             hierarchy=dae_hierarchy())
         assert four.cycles < one.cycles
+
+    def test_execute_core_clock_counts(self, ewsd):
+        """DAE systems follow the one clock rule: a 3.2 GHz execute core
+        sets the global clock and the 2 GHz access core gets period 2."""
+        specs = prepare_dae_sliced(ewsd.kernel, ewsd.args, pairs=1)
+        system = build_dae(specs, access_core=inorder_core(),
+                           execute_core=xeon_core(),
+                           hierarchy=dae_hierarchy())
+        assert [(t.name, t.period) for t in system.tiles] \
+            == [("access0", 2), ("execute0", 1)]
+        stats = system.run()
+        assert stats.frequency_ghz == 3.2
+        ewsd.verify()
 
     def test_explicit_slices_accepted(self, ewsd):
         """prepare_dae also takes hand-written access/execute kernels."""

@@ -1,19 +1,25 @@
 """Tests for heterogeneous multi-core simulation and whole-model NN
 lowering."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.harness import (
-    dae_hierarchy, inorder_core, ooo_core, simulate, simulate_heterogeneous,
-    xeon_hierarchy,
+    build_dae, build_heterogeneous, build_system, dae_hierarchy,
+    inorder_core, ooo_core, prepare_dae_sliced, run_supervised, simulate,
+    simulate_dae, simulate_heterogeneous, xeon_hierarchy,
 )
 from repro.ir import F64, Opcode
 from repro.nn import (
     Conv2D, Dense, LoweringError, ReLU, Sequential, convnet_inference,
     lower_inference,
 )
+from repro.telemetry import stats_to_dict
 from repro.trace import SimMemory
+from repro.workloads.sinkhorn import build_ewsd
 
 from . import kernels
 
@@ -29,6 +35,47 @@ class TestHeterogeneousSimulation:
     def test_requires_cores(self):
         with pytest.raises(ValueError):
             simulate_heterogeneous(kernels.saxpy_blocked, [], cores=[])
+
+    def test_rejects_unknown_keywords(self):
+        """Run options pass through ``**options`` to the Interleaver, so
+        a misspelled one still fails loudly, from every entry point; and
+        no builder picked up another builder's keywords."""
+        def spmd():
+            _, A, B, n = _saxpy_setup(16)
+            return (kernels.saxpy_blocked, [A, B, n, 2.0])
+
+        def dae():
+            w = build_ewsd(nnz=16, dense_len=32)
+            return (prepare_dae_sliced(w.kernel, w.args, pairs=1),)
+
+        cores = dict(access_core=inorder_core(), execute_core=inorder_core())
+        cases = [(build_system, spmd, {}), (simulate, spmd, {}),
+                 (run_supervised, spmd, {}),
+                 (build_heterogeneous, spmd, {"cores": [ooo_core()]}),
+                 (simulate_heterogeneous, spmd, {"cores": [ooo_core()]}),
+                 (build_dae, dae, cores), (simulate_dae, dae, cores)]
+        for runner, positional, required in cases:
+            for bad in ("tracr", "frequency_ghz", "queue_entries"):
+                if bad == "queue_entries" and positional is dae:
+                    continue
+                with pytest.raises(TypeError, match=bad):
+                    runner(*positional(), **required, **{bad: None})
+
+    @pytest.mark.parametrize("tiles", [1, 2, 4])
+    @pytest.mark.parametrize("core", [ooo_core, inorder_core])
+    def test_homogeneous_is_heterogeneous_on_identical_cores(self, core,
+                                                              tiles):
+        def digest(builder, **system):
+            mem, A, B, n = _saxpy_setup(128)
+            stats = builder(kernels.saxpy_blocked, [A, B, n, 2.0],
+                            hierarchy=dae_hierarchy(), memory=mem,
+                            **system).run()
+            assert np.allclose(B.data, 3.0)
+            return hashlib.sha256(json.dumps(
+                stats_to_dict(stats), sort_keys=True).encode()).hexdigest()
+
+        assert digest(build_system, core=core(), num_tiles=tiles) \
+            == digest(build_heterogeneous, cores=[core()] * tiles)
 
     def test_mixed_cores_run_correctly(self):
         mem, A, B, n = _saxpy_setup()
