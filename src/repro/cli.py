@@ -411,7 +411,7 @@ def cmd_simulate(args) -> int:
         if tracer is not None and args.trace:
             tracer.write(args.trace, frequency_ghz=stats.frequency_ghz,
                          run_id=run_id)
-            STATUS.info(f"trace: {len(tracer.events())} event(s) "
+            STATUS.info(f"trace: {len(tracer)} event(s) "
                         f"-> {args.trace}")
         if args.metrics:
             write_stats_json(stats, args.metrics, run_id=run_id)
@@ -498,7 +498,7 @@ def cmd_simulate(args) -> int:
         tracer.write(args.trace, frequency_ghz=stats.frequency_ghz,
                      run_id=run_id)
         dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
-        STATUS.info(f"trace: {len(tracer.events())} event(s){dropped} "
+        STATUS.info(f"trace: {len(tracer)} event(s){dropped} "
                     f"-> {args.trace}")
     if args.metrics:
         write_stats_json(stats, args.metrics, run_id=run_id)

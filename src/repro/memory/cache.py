@@ -96,6 +96,12 @@ class Cache:
                             if prefetcher and prefetcher.enabled else None)
 
     # ------------------------------------------------------------------
+    def attach_tracer(self, tracer, tid: int) -> None:
+        """Record miss spans into ``tracer`` on lane ``tid``."""
+        self.tracer = tracer
+        self.trace_tid = tid
+        self._trace_miss_name = f"{self.stats.name} miss"
+
     def access(self, request: MemRequest, cycle: int) -> None:
         """Entry point: present ``request`` to this cache at ``cycle``."""
         start = max(cycle, int(self._port_free))
@@ -163,7 +169,7 @@ class Cache:
         if self.tracer is not None:
             # span: the miss's full round trip until the line fills
             self.tracer.complete(
-                "cache", f"{self.stats.name} miss", miss_cycle, cycle,
+                "cache", self._trace_miss_name, miss_cycle, cycle,
                 self.trace_tid, {"line": line})
         num_sets = self._num_sets
         set_index = line % num_sets

@@ -229,11 +229,9 @@ class MemorySystem:
         cache_tid = tracer.tid_for("cache")
         for levels in self.private_caches:
             for cache in levels:
-                cache.tracer = tracer
-                cache.trace_tid = cache_tid
+                cache.attach_tracer(tracer, cache_tid)
         if self.llc is not None:
-            self.llc.tracer = tracer
-            self.llc.trace_tid = cache_tid
+            self.llc.attach_tracer(tracer, cache_tid)
         self.dram.tracer = tracer
         self.dram.trace_tid = tracer.tid_for("dram")
 

@@ -403,6 +403,14 @@ class CoreTile(Tile):
             return _D_CALL_OTHER
         return _D_FIXED
 
+    def attach_tracer(self, tracer) -> None:
+        """Also build the names this core records, once per static
+        instruction and block, so retiring pays no string work."""
+        super().attach_tracer(tracer)
+        self._trace_name_by_iid = [
+            n.opclass.name.lower() for n in self.ddg.nodes]
+        self._trace_name_by_bid = [f"dbb {b.bid}" for b in self.ddg.blocks]
+
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
@@ -962,12 +970,14 @@ class CoreTile(Tile):
             if self.tracer is not None:
                 # every counted node passed _issue, so issued_at is set
                 self.tracer.complete(
-                    "core", snode.opclass.name.lower(), node.issued_at,
+                    "core", self._trace_name_by_iid[iid], node.issued_at,
                     cycle, self.trace_tid)
+            # only issued nodes hold a functional-unit slot; free nodes
+            # never pass _issue
+            if self._fu_limit_by_iid[iid] is not None:
+                self._fu_used[snode.opclass] -= 1
         if cycle > stats.cycles:
             stats.cycles = cycle
-        if self._fu_limit_by_iid[iid] is not None:
-            self._fu_used[snode.opclass] -= 1
         if snode.is_memory:
             self._mao_incomplete -= 1
             self._mao_compact()
@@ -1013,7 +1023,8 @@ class CoreTile(Tile):
             self._live_total -= 1
             if self.tracer is not None:
                 self.tracer.complete(
-                    "core", f"dbb {dbb.bid}", dbb.launched_at, cycle,
-                    self.trace_tid, {"index": dbb.index})
+                    "core", self._trace_name_by_bid[dbb.bid],
+                    dbb.launched_at, cycle, self.trace_tid,
+                    {"index": dbb.index})
         if not in_flight and self._next_dbb >= self._num_blocks:
             self._finished = True

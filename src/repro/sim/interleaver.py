@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, List, Optional
 
-from ..telemetry.profiler import ProfiledFabric, timed
+from ..telemetry.profiler import ProfiledFabric
 from ..trace.tracefile import AccelInvocation
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import with
@@ -55,6 +55,8 @@ __all__ = [
     "DEFAULT_MAX_CYCLES", "Interleaver", "SimulationError",
     "SimulationInterrupted", "TileServices", "WatchdogTimeout",
 ]
+
+_perf = time.perf_counter
 
 #: cycle budget of a run that sets none
 DEFAULT_MAX_CYCLES = 2_000_000_000
@@ -100,6 +102,34 @@ class TileServices:
         if self.accelerators is None or not self.accelerators.fallback_enabled:
             return None
         return self.accelerators.fallback_invoke(invocation, cycle)
+
+
+class ProfiledTileServices(TileServices):
+    """TileServices that times fabric calls (:class:`ProfiledFabric`)
+    and memory dispatch, inline, into the profiler's ``fabric`` and
+    ``memory`` phases; installed only when profiling."""
+
+    def __init__(self, scheduler: Scheduler,
+                 memory: Optional["MemorySystem"], fabric: CommFabric,
+                 accelerators: Optional[AcceleratorFarm], profiler):
+        super().__init__(scheduler, memory,
+                         ProfiledFabric(fabric, profiler), accelerators)
+        self.profiler = profiler
+
+    def mem_access(self, port: int, address: int, size: int, *,
+                   is_write: bool, is_atomic: bool, cycle: int,
+                   callback: Callable[[int], None]):
+        t0 = _perf()
+        try:
+            if self.memory is None:
+                self.scheduler.at(cycle + 1, callback)
+                return None
+            return self.memory.access(port, address, size,
+                                      is_write=is_write,
+                                      is_atomic=is_atomic, cycle=cycle,
+                                      callback=callback)
+        finally:
+            self.profiler.add("memory", _perf() - t0)
 
 
 class Interleaver:
@@ -150,14 +180,12 @@ class Interleaver:
         self._interrupt_signum: Optional[int] = None
         #: whether run() should poll _interrupt_signum at all
         self._signals_armed = False
-        service_fabric = self.fabric
-        if profiler is not None:
-            service_fabric = ProfiledFabric(self.fabric, profiler)
-        self.services = TileServices(self.scheduler, memory, service_fabric,
-                                     accelerators)
-        if profiler is not None:
-            self.services.mem_access = timed(profiler, "memory",
-                                             self.services.mem_access)
+        if profiler is None:
+            self.services = TileServices(self.scheduler, memory,
+                                         self.fabric, accelerators)
+        else:
+            self.services = ProfiledTileServices(
+                self.scheduler, memory, self.fabric, accelerators, profiler)
         for tile in tiles:
             tile.services = self.services
         if tracer is not None:
@@ -178,8 +206,7 @@ class Interleaver:
         part of the determinism contract.
         """
         for tile in self.tiles:
-            tile.tracer = tracer
-            tile.trace_tid = tracer.tid_for(tile.name)
+            tile.attach_tracer(tracer)
         self.fabric.tracer = tracer
         self.fabric.trace_tid = tracer.tid_for("fabric")
         if self.memory is not None:
@@ -243,99 +270,121 @@ class Interleaver:
         # they finish, never re-derived from scratch, and the attention
         # minimum is taken over this (shrinking) set only
         active = [t for t in self.tiles if not t.done]
-        while active:
-            if watch:
-                # the top of the outer loop is the snapshot consistency
-                # point: every event due at `cycle` has fired and every
-                # due tile has stepped to a fixed point, so this is the
-                # only place autosaves and graceful interrupts act
-                iterations += 1
-                if (iterations & 63) == 0:
-                    if deadline is not None and monotonic() > deadline:
-                        exc = WatchdogTimeout(
-                            f"wall-clock watchdog fired after "
-                            f"{self.wall_clock_limit}s at cycle {cycle}")
+        # profiled time and counts accumulate in locals and reach the
+        # SelfProfiler once, when the loop exits -- normally or by a
+        # failure, whose buckets the caller still reads
+        events = tile_steps = 0
+        event_seconds = step_seconds = 0.0
+        try:
+            while active:
+                if watch:
+                    # the top of the outer loop is the snapshot consistency
+                    # point: every event due at `cycle` has fired and every
+                    # due tile has stepped to a fixed point, so this is the
+                    # only place autosaves and graceful interrupts act
+                    iterations += 1
+                    if (iterations & 63) == 0:
+                        if deadline is not None and monotonic() > deadline:
+                            exc = WatchdogTimeout(
+                                f"wall-clock watchdog fired after "
+                                f"{self.wall_clock_limit}s at cycle {cycle}")
+                            exc.checkpoint_path = self._flush_checkpoint(cycle)
+                            raise exc
+                        if self._interrupt_signum is not None:
+                            self._raise_interrupted(cycle)
+                        if checkpoint is not None and checkpoint.due(cycle):
+                            checkpoint.save(self, cycle)
+                        if emitter is not None and emitter.due(cycle):
+                            emitter.emit(self, cycle)
+                next_cycle = NEVER
+                event_cycle = sched_next()
+                if event_cycle is not None:
+                    next_cycle = event_cycle
+                for tile in active:
+                    attention = tile.next_attention
+                    if attention < next_cycle:
+                        next_cycle = attention
+                if next_cycle >= NEVER:
+                    self._raise_deadlock(cycle)
+                if next_cycle > cycle:
+                    cycle = next_cycle
+                    if cycle > max_cycles:
+                        # nothing due at `cycle` has been drained yet, so a
+                        # snapshot here resumes exactly where an uninterrupted
+                        # run (with a larger budget) would have continued
+                        exc = CycleBudgetExceeded(
+                            f"simulation exceeded {max_cycles} cycles")
                         exc.checkpoint_path = self._flush_checkpoint(cycle)
                         raise exc
-                    if self._interrupt_signum is not None:
-                        self._raise_interrupted(cycle)
-                    if checkpoint is not None and checkpoint.due(cycle):
-                        checkpoint.save(self, cycle)
-                    if emitter is not None and emitter.due(cycle):
-                        emitter.emit(self, cycle)
-            next_cycle = NEVER
-            event_cycle = sched_next()
-            if event_cycle is not None:
-                next_cycle = event_cycle
-            for tile in active:
-                attention = tile.next_attention
-                if attention < next_cycle:
-                    next_cycle = attention
-            if next_cycle >= NEVER:
-                self._raise_deadlock(cycle)
-            if next_cycle > cycle:
-                cycle = next_cycle
-                if cycle > max_cycles:
-                    # nothing due at `cycle` has been drained yet, so a
-                    # snapshot here resumes exactly where an uninterrupted
-                    # run (with a larger budget) would have continued
-                    exc = CycleBudgetExceeded(
-                        f"simulation exceeded {max_cycles} cycles")
-                    exc.checkpoint_path = self._flush_checkpoint(cycle)
-                    raise exc
 
-            # events first (memory responses, message deliveries), which
-            # may wake tiles at this very cycle
-            if profiler is None:
-                sched_run_due(cycle)
-            else:
-                t0 = perf()
-                profiler.events += sched_run_due(cycle)
-                profiler.add("event_loop", perf() - t0)
-                t0 = perf()
-            # then step every tile due at this cycle; stepping can wake
-            # peers at the same cycle (e.g. a consume frees queue space),
-            # so iterate to a fixed point
-            finished = False
-            steps = 0
-            for _ in range(64):
-                # the watchdog is polled inside the fixed-point loop too
-                # (same & 63 stride), so a pathological same-cycle
-                # ping-pong cannot blow far past wall_clock_limit
-                if deadline is not None:
-                    iterations += 1
-                    if (iterations & 63) == 0 and monotonic() > deadline:
-                        raise WatchdogTimeout(
-                            f"wall-clock watchdog fired after "
-                            f"{self.wall_clock_limit}s at cycle {cycle}")
-                progressed = False
-                for tile in active:
-                    if tile.next_attention <= cycle:
-                        if tile.done:
-                            # finished by an event callback (not its own
-                            # step): clear the stale wakeup so the min
-                            # scan never sees it again, and prune below
-                            tile.next_attention = NEVER
-                            finished = True
-                            continue
-                        returned = tile.step(cycle)
-                        if returned < tile.next_attention:
-                            tile.next_attention = returned
-                        progressed = True
-                        steps += 1
-                        if tile.done:
-                            finished = True
-                if not progressed:
-                    break
-            else:  # pragma: no cover - indicates a livelock bug
-                raise SimulationError(
-                    f"tiles did not reach a fixed point at cycle {cycle}")
+                # events first (memory responses, message deliveries), which
+                # may wake tiles at this very cycle
+                if profiler is None:
+                    sched_run_due(cycle)
+                else:
+                    t0 = perf()
+                    events += sched_run_due(cycle)
+                    t1 = perf()
+                    event_seconds += t1 - t0
+                    t0 = t1
+                # then step every tile due at this cycle; stepping can wake
+                # peers at the same cycle (e.g. a consume frees queue space),
+                # so iterate to a fixed point
+                finished = False
+                steps = 0
+                for _ in range(64):
+                    # the watchdog is polled inside the fixed-point loop too
+                    # (same & 63 stride), so a pathological same-cycle
+                    # ping-pong cannot blow far past wall_clock_limit
+                    if deadline is not None:
+                        iterations += 1
+                        if (iterations & 63) == 0 and monotonic() > deadline:
+                            raise WatchdogTimeout(
+                                f"wall-clock watchdog fired after "
+                                f"{self.wall_clock_limit}s at cycle {cycle}")
+                    progressed = False
+                    for tile in active:
+                        if tile.next_attention <= cycle:
+                            if tile.done:
+                                # finished by an event callback (not its own
+                                # step): clear the stale wakeup so the min
+                                # scan never sees it again, and prune below
+                                tile.next_attention = NEVER
+                                finished = True
+                                continue
+                            returned = tile.step(cycle)
+                            if returned < tile.next_attention:
+                                tile.next_attention = returned
+                            progressed = True
+                            steps += 1
+                            if tile.done:
+                                finished = True
+                    if not progressed:
+                        break
+                else:  # pragma: no cover - indicates a livelock bug
+                    raise SimulationError(
+                        f"tiles did not reach a fixed point at cycle {cycle}")
+                if profiler is not None:
+                    tile_steps += steps
+                    step_seconds += perf() - t0
+                if finished:
+                    active = [t for t in active if not t.done]
+        finally:
             if profiler is not None:
-                profiler.tile_steps += steps
-                profiler.add("tile_step", perf() - t0)
-            if finished:
-                active = [t for t in active if not t.done]
-        return self._collect(cycle)
+                profiler.events += events
+                profiler.tile_steps += tile_steps
+                profiler.add("event_loop", event_seconds)
+                profiler.add("tile_step", step_seconds)
+        stats = self._collect(cycle)
+        if profiler is not None:
+            # fast-path counters: how often the scheduler drained through
+            # its monomorphic (no-cancellable-entries) loop
+            profiler.counters["scheduler_fast_drains"] = \
+                scheduler.fast_drains
+            profiler.counters["scheduler_slow_drains"] = \
+                scheduler.slow_drains
+            profiler.finish(cycle, stats.instructions)
+        return stats
 
     # ------------------------------------------------------------------
     def arm_interrupts(self) -> None:
@@ -428,14 +477,6 @@ class Interleaver:
                                       self.memory)
         if self.memstat is not None:
             stats.memstat = self.memstat.memory_block()
-        if self.profiler is not None:
-            # fast-path counters: how often the scheduler drained through
-            # its monomorphic (no-cancellable-entries) loop
-            self.profiler.counters["scheduler_fast_drains"] = \
-                self.scheduler.fast_drains
-            self.profiler.counters["scheduler_slow_drains"] = \
-                self.scheduler.slow_drains
-            self.profiler.finish(cycle, stats.instructions)
         return stats
 
     def _snapshot_metrics(self, stats: SystemStats) -> None:

@@ -40,6 +40,12 @@ class Tile(abc.ABC):
         #: same single-branch guard discipline as the tracer)
         self.attributor = None
 
+    def attach_tracer(self, tracer) -> None:
+        """Record into ``tracer`` on this tile's own lane; subclasses
+        extend this to precompute the event names they emit."""
+        self.tracer = tracer
+        self.trace_tid = tracer.tid_for(self.name)
+
     @abc.abstractmethod
     def step(self, cycle: int) -> int:
         """Advance the tile at ``cycle``; return next attention cycle."""

@@ -96,10 +96,11 @@ class SelfProfiler:
     """Accumulates per-phase wall-clock time for one simulation run.
 
     The Interleaver calls :meth:`start` / :meth:`finish` around the run
-    and :meth:`add` from its instrumented regions; ``memory`` and
-    ``fabric`` time is captured by wrapping the TileServices entry
-    points (see :func:`timed` and :class:`ProfiledFabric`) and is
-    subtracted from the enclosing ``tile_step`` bucket at report time.
+    and :meth:`add` once the run loop exits (the loop keeps its phase
+    seconds and counts in locals); ``memory`` time is captured by a
+    profiled TileServices and ``fabric`` time by :class:`ProfiledFabric`,
+    and both are subtracted from the enclosing ``tile_step`` bucket at
+    report time.
     """
 
     def __init__(self):

@@ -17,6 +17,10 @@ Design constraints:
 * **bounded** — the ring buffer keeps the most recent ``capacity``
   events and counts what it dropped, so tracing a billion-cycle run
   cannot exhaust memory;
+* **cheap when enabled** — recording appends one flat
+  ``(phase, category, name, cycle, dur, tid, args)`` tuple to the ring;
+  :class:`TraceEvent` objects are built only when the trace is read
+  (:meth:`Tracer.events`, :meth:`Tracer.to_chrome`);
 * **deterministic** — events carry only simulated state (cycles, names,
   ids), never wall-clock or object identities, so the same seed and
   config produce an identical event stream.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional
 
 #: bump when the exported JSON layout changes incompatibly
@@ -83,6 +88,10 @@ class TraceEvent:
                 f"tid={self.tid})")
 
 
+#: sort key of a ring record: (cycle, tid, name)
+_chronological = itemgetter(3, 5, 2)
+
+
 class Tracer:
     """Ring-buffered event recorder.
 
@@ -98,9 +107,10 @@ class Tracer:
             raise ValueError(f"tracer capacity must be positive, "
                              f"got {capacity}")
         self.capacity = capacity
+        #: flat (phase, category, name, cycle, dur, tid, args) records
         self._ring: deque = deque(maxlen=capacity)
-        #: events evicted from the ring (oldest-first)
-        self.dropped = 0
+        #: every record ever appended (the ring keeps the newest)
+        self._recorded = 0
         #: lane name -> tid, in registration order
         self._tids: Dict[str, int] = {}
 
@@ -118,35 +128,41 @@ class Tracer:
         return {tid: name for name, tid in self._tids.items()}
 
     # -- recording -------------------------------------------------------
-    def _push(self, event: TraceEvent) -> None:
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(event)
-
     def complete(self, category: str, name: str, start_cycle: int,
                  end_cycle: int, tid: int = 0,
                  args: Optional[dict] = None) -> None:
         """Record a span covering ``[start_cycle, end_cycle]``."""
-        self._push(TraceEvent("X", category, name, start_cycle,
-                              max(0, end_cycle - start_cycle), tid, args))
+        self._recorded += 1
+        self._ring.append(
+            ("X", category, name, start_cycle,
+             end_cycle - start_cycle if end_cycle > start_cycle else 0,
+             tid, args))
 
     def instant(self, category: str, name: str, cycle: int, tid: int = 0,
                 args: Optional[dict] = None) -> None:
-        self._push(TraceEvent("i", category, name, cycle, 0, tid, args))
+        self._recorded += 1
+        self._ring.append(("i", category, name, cycle, 0, tid, args))
 
     def counter(self, category: str, name: str, cycle: int, value,
                 tid: int = 0) -> None:
         """Record a sampled counter value (rendered as a track)."""
-        self._push(TraceEvent("C", category, name, cycle, 0, tid,
-                              {"value": value}))
+        self._recorded += 1
+        self._ring.append(("C", category, name, cycle, 0, tid,
+                           {"value": value}))
 
     # -- reading ---------------------------------------------------------
+    @property
+    def dropped(self) -> int:
+        """Events evicted from the ring (oldest-first)."""
+        return self._recorded - len(self._ring)
+
     def __len__(self) -> int:
         return len(self._ring)
 
     def events(self) -> List[TraceEvent]:
         """Recorded events in chronological (start-cycle) order."""
-        return sorted(self._ring, key=lambda e: (e.cycle, e.tid, e.name))
+        records = sorted(self._ring, key=_chronological)
+        return [TraceEvent(*record) for record in records]
 
     def event_keys(self) -> List[tuple]:
         """Determinism fingerprint: stable keys of every buffered event."""

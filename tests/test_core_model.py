@@ -2,10 +2,15 @@
 paper §III (issue width, ROB/window, LSQ/MAO, FU limits, live DBBs) and
 the speculation options of §III-C."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.harness import dae_hierarchy, inorder_core, ooo_core, prepare, simulate
+from repro.harness import (
+    build_system, dae_hierarchy, fold_for_x86, inorder_core, ooo_core,
+    prepare, simulate,
+)
 from repro.ir import F64, I64, OpClass
 from repro.sim.config import CoreConfig
 from repro.trace import SimMemory
@@ -63,6 +68,42 @@ class TestResourceLimits:
             issue_width=4, rob_size=64, lsq_size=64,
             fu_counts={OpClass.FPMUL: 1, OpClass.FPALU: 1,
                        OpClass.IALU: 1}))
+        assert throttled.cycles > free.cycles
+
+    def test_fu_limit_holds_with_folded_nodes(self):
+        # regression: ISA-folded nodes complete free, never pass issue,
+        # yet used to release an FU slot on completion, driving the
+        # in-use count negative and silently lifting the limit
+        prepared = _saxpy_prepared()
+        folded = dataclasses.replace(prepared,
+                                     ddg=fold_for_x86(prepared.ddg))
+        assert any(n.folded and n.opclass is OpClass.IALU
+                   for n in folded.ddg.nodes)
+        limit = 1
+
+        class InUse(dict):
+            """FU in-use counts that must stay within [0, limit]."""
+            peak = 0
+
+            def __setitem__(self, opclass, count):
+                assert 0 <= count <= limit, (opclass, count)
+                InUse.peak = max(InUse.peak, count)
+                super().__setitem__(opclass, count)
+
+        def run(fu_counts):
+            core = CoreConfig(issue_width=4, rob_size=64, lsq_size=64,
+                              fu_counts=fu_counts)
+            system = build_system(folded.function, [], core=core,
+                                  prepared=folded)
+            tile = system.tiles[0]
+            tile._fu_used = InUse()
+            stats = system.run()
+            return stats, tile._fu_used
+
+        free, _ = run({})
+        throttled, in_use = run({OpClass.IALU: limit})
+        assert in_use == {OpClass.IALU: 0}
+        assert InUse.peak == limit
         assert throttled.cycles > free.cycles
 
     def test_lsq_limit_throttles(self):

@@ -170,6 +170,21 @@ class TestSupervisor:
         assert outcome.profile is not None
         assert outcome.profile.wall_seconds >= 0.0
 
+    def test_run_supervised_failure_keeps_phase_buckets(self):
+        # the run loop accounts profiled time in locals; a run that dies
+        # on its cycle budget must still hand them to the profiler
+        from repro.telemetry.profiler import SelfProfiler
+        mem, A, B, n = _saxpy_env(64)
+        outcome = run_supervised(kernels.saxpy, [A, B, n, 2.0],
+                                 core=ooo_core(),
+                                 hierarchy=dae_hierarchy(), memory=mem,
+                                 profiler=SelfProfiler(), max_cycles=50)
+        assert outcome.status == "timeout"
+        profile = outcome.profile
+        assert profile.tile_steps > 0
+        assert profile.phases["tile_step"] > 0.0
+        assert profile.phases["event_loop"] > 0.0
+
     def test_run_supervised_retries_transient_faults(self):
         # rate-1.0 faults recur on every reseeded attempt: the supervisor
         # exhausts its retries and reports the fault
