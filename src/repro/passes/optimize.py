@@ -23,22 +23,9 @@ from ..ir.instructions import (
     Instruction, LoadInst, Opcode, PhiInst, SelectInst,
 )
 from ..ir.values import Constant, Value
+from ..trace.interpreter import _BINOPS, _FCMP, _ICMP, _cast_fn
 from .dominators import DominatorTree
 from .mem2reg import dead_code_elimination
-
-_FOLDABLE = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SHL: lambda a, b: a << b,
-    Opcode.ASHR: lambda a, b: a >> b,
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMUL: lambda a, b: a * b,
-}
 
 #: instruction kinds that are pure (safe to fold, combine, or hoist)
 _PURE_OPCODES = {
@@ -50,6 +37,7 @@ _PURE_OPCODES = {
 }
 # note: SDIV/SREM/FDIV-by-zero can trap; SDIV/SREM are excluded from
 # folding and hoisting, FDIV folds only with a non-zero constant divisor
+_TRAPPING = (Opcode.SDIV, Opcode.SREM)
 
 
 def _replace_uses(func: Function, old: Value, new: Value) -> None:
@@ -81,12 +69,11 @@ def _fold_one(inst: Instruction) -> Optional[Value]:
         lhs, rhs = inst.operands
         lhs_const = isinstance(lhs, Constant)
         rhs_const = isinstance(rhs, Constant)
-        if lhs_const and rhs_const:
-            handler = _FOLDABLE.get(inst.opcode)
-            if handler is not None:
-                return Constant(inst.type, handler(lhs.value, rhs.value))
-            if inst.opcode is Opcode.FDIV and rhs.value != 0:
-                return Constant(inst.type, lhs.value / rhs.value)
+        if lhs_const and rhs_const and inst.opcode not in _TRAPPING \
+                and not (inst.opcode is Opcode.FDIV and rhs.value == 0):
+            # the interpreter's own semantics: 64-bit wrap, masked shifts
+            return Constant(inst.type,
+                            _BINOPS[inst.opcode](lhs.value, rhs.value))
         # algebraic identities
         opcode = inst.opcode
         if rhs_const:
@@ -113,7 +100,6 @@ def _fold_one(inst: Instruction) -> Optional[Value]:
     if isinstance(inst, CmpInst):
         lhs, rhs = inst.operands
         if isinstance(lhs, Constant) and isinstance(rhs, Constant):
-            from ..trace.interpreter import _FCMP, _ICMP
             table = _ICMP if inst.opcode is Opcode.ICMP else _FCMP
             return Constant(inst.type,
                             int(table[inst.predicate](lhs.value, rhs.value)))
@@ -124,11 +110,7 @@ def _fold_one(inst: Instruction) -> Optional[Value]:
         if inst.operands[1] is inst.operands[2]:
             return inst.operands[1]
     if isinstance(inst, CastInst) and isinstance(inst.operands[0], Constant):
-        value = inst.operands[0].value
-        if inst.type.is_integer:
-            return Constant(inst.type, int(value))
-        if inst.type.is_float:
-            return Constant(inst.type, float(value))
+        return Constant(inst.type, _cast_fn(inst)(inst.operands[0].value))
     return None
 
 

@@ -2,8 +2,10 @@
 
 The paper instruments an x86 binary and runs it natively to record (1) the
 taken control-flow path and (2) the address stream of every memory
-instruction. Here the equivalent native run is a functional interpretation
-of the mini-IR over :class:`~repro.trace.memory.SimMemory`; the interpreter
+instruction. Here the equivalent native run is a functional execution
+of the mini-IR over :class:`~repro.trace.memory.SimMemory`: each IR
+function is rendered once to instrumented Python source (one function
+per basic block) and compiled with Python's own ``compile()``. It
 produces the same two trace artifacts (plus accelerator-invocation
 parameters) as :class:`~repro.trace.tracefile.KernelTrace` objects.
 
@@ -21,7 +23,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.function import Function, Module
-from ..ir.instructions import CallInst, CastInst, Opcode
+from ..ir.instructions import CastInst, Opcode, PhiInst
 from ..ir.values import Constant
 from .accel_ops import apply_accelerator
 from .memory import ArrayRef, SimMemory
@@ -102,7 +104,8 @@ _BINOPS = {
     Opcode.OR: lambda a, b: a | b,
     Opcode.XOR: lambda a, b: a ^ b,
     Opcode.SHL: lambda a, b: _wrap(a << (b & 63)),
-    Opcode.LSHR: lambda a, b: (a & 0xFFFFFFFFFFFFFFFF) >> (b & 63),
+    # a shift by 0 leaves a negative value's unsigned form: wrap it
+    Opcode.LSHR: lambda a, b: _wrap((a & _U64_MASK) >> (b & 63)),
     Opcode.ASHR: lambda a, b: a >> (b & 63),
     Opcode.FADD: lambda a, b: a + b,
     Opcode.FSUB: lambda a, b: a - b,
@@ -119,27 +122,6 @@ _ATOMIC = {
     "max": max,
     "xchg": lambda old, v: v,
 }
-
-
-class _BlockPlan:
-    """A precompiled basic block: phi assignments plus step tuples."""
-
-    __slots__ = ("bid", "name", "num_insts", "phis", "steps")
-
-    def __init__(self, bid: int, name: str, num_insts: int):
-        self.bid = bid
-        self.name = name
-        self.num_insts = num_insts
-        #: (dest_env_key, {id(pred_plan): operand slot})
-        self.phis: list = []
-        self.steps: list = []
-
-
-def _slot(value):
-    """Precompiled operand: (True, constant) or (False, env key)."""
-    if isinstance(value, Constant):
-        return (True, value.value)
-    return (False, id(value))
 
 
 def _cast_fn(inst: "CastInst"):
@@ -172,6 +154,262 @@ def _cast_fn(inst: "CastInst"):
     raise InterpreterError(f"cannot interpret cast {opcode.value}")
 
 
+#: ops rendered as one Python operator; add/sub/mul then wrap at 64 bits
+_INLINE = {
+    Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*",
+    Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^",
+    Opcode.FADD: "+", Opcode.FSUB: "-", Opcode.FMUL: "*",
+}
+_WRAPPING = (Opcode.ADD, Opcode.SUB, Opcode.MUL)
+_ICMP_OPS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
+             "sge": ">="}
+
+
+def _fail(message: str):
+    raise InterpreterError(message)
+
+
+class _Renderer:
+    """Renders one IR function to Python source, once per interpreter.
+
+    The source defines ``_make(I, trace, tile, num_tiles)``, which
+    instantiates one run: a register list ``r`` (arguments, then every
+    instruction in block/instruction order, then the return slot) and
+    one closure per basic block, returned as ``(r, blocks)``. A block
+    function runs the block's non-phi instructions and returns the
+    position of the next block (``-1`` after ``ret``). Each phi is
+    lowered to a parallel copy on every incoming CFG edge, emitted in the
+    predecessor just before it returns. A value only its own block reads
+    stays a Python local; any other is also stored to its register.
+    Blocks holding a yield point are generators. Everything that is not
+    a plain Python operator calls the semantic tables above through a
+    name bound in the module namespace, so the source never depends on
+    object identity.
+    """
+
+    def __init__(self, func: Function):
+        self.func = func
+        values = list(func.args) + list(func.instructions())
+        self.reg = {value: number for number, value in enumerate(values)}
+        self.size = len(values) + 1
+        self.home = {inst: block for block in func.blocks
+                     for inst in block.instructions}
+        self.position = {block: k for k, block in enumerate(func.blocks)}
+        self.namespace = {"_wrap": _wrap, "_isnan": math.isnan,
+                          "_fail": _fail, "_Accel": AccelInvocation,
+                          "_apply_accelerator": apply_accelerator}
+        self.bound = {}
+        #: values read outside their home block (phi copies count as
+        #: reads in the predecessor)
+        self.shared = set()
+        for block in func.blocks:
+            for inst in block.instructions:
+                if isinstance(inst, PhiInst):
+                    for value, pred in zip(inst.operands,
+                                           inst.incoming_blocks):
+                        if self.home.get(value) is not pred:
+                            self.shared.add(value)
+                    continue
+                for value in inst.operands:
+                    if self.home.get(value) is not block:
+                        self.shared.add(value)
+
+    def bind(self, obj) -> str:
+        """A namespace name for ``obj``, numbered in order of first use."""
+        name = self.bound.get(obj)
+        if name is None:
+            name = self.bound[obj] = f"_k{len(self.bound)}"
+            self.namespace[name] = obj
+        return name
+
+    def operand(self, value, block) -> str:
+        if isinstance(value, Constant):
+            literal = value.value
+            if isinstance(literal, float) and not math.isfinite(literal):
+                return self.bind(literal)
+            return repr(literal)
+        number = self.reg.get(value)
+        if number is None:
+            raise InterpreterError(
+                f"cannot interpret operand {value.short()} of "
+                f"{self.func.name}")
+        if self.home.get(value) is block and not isinstance(value, PhiInst):
+            return f"v{number}"
+        return f"r[{number}]"
+
+    def edge(self, pred, succ) -> List[str]:
+        """The phi copies and the jump for the CFG edge pred -> succ."""
+        dests, sources = [], []
+        for phi in succ.phis:
+            incoming = None
+            for value, block in zip(phi.operands, phi.incoming_blocks):
+                if block is pred:
+                    incoming = value
+            if incoming is None:
+                raise InterpreterError(
+                    f"phi {phi.short()} in {succ.name} has no incoming "
+                    f"value from {pred.name}")
+            dests.append(f"r[{self.reg[phi]}]")
+            sources.append(self.operand(incoming, pred))
+        copies = [f"{', '.join(dests)} = {', '.join(sources)}"] \
+            if dests else []
+        return copies + [f"return {self.position[succ]}"]
+
+    def render(self):
+        """Compile the function; returns ``(make, table)`` where
+        ``table[k]`` is ``(bid, instruction count, is_generator)`` of
+        ``func.blocks[k]``."""
+        lines = ["def _make(I, trace, tile, num_tiles):",
+                 f"    r = [None] * {self.size}",
+                 "    memory = I.memory",
+                 "    load = memory.load",
+                 "    store = memory.store",
+                 "    at = trace.addr_trace",
+                 "    ct = trace.comm_trace",
+                 "    calls = trace.accel_calls"]
+        table = []
+        for k, block in enumerate(self.func.blocks):
+            self.generator = False
+            body = self.block(block)
+            lines.append(f"    def b{k}():")
+            lines.extend(f"        {line}" for line in body)
+            table.append((block.bid, len(block.instructions),
+                          self.generator))
+        names = ", ".join(f"b{k}" for k in range(len(table)))
+        lines.append(f"    return r, ({names},)")
+        source = "\n".join(lines) + "\n"
+        exec(compile(source, f"<interpreter {self.func.name}>", "exec"),
+             self.namespace)
+        return self.namespace["_make"], tuple(table)
+
+    def block(self, block) -> List[str]:
+        out: List[str] = []
+        for inst in block.instructions:
+            if isinstance(inst, PhiInst):
+                continue
+            if inst.is_terminator:
+                out.extend(self.terminator(inst, block))
+                return out
+            dest = f"v{self.reg[inst]}"
+            self.instruction(inst, dest,
+                             [self.operand(v, block) for v in inst.operands],
+                             out)
+            if inst in self.shared:
+                out.append(f"r[{self.reg[inst]}] = {dest}")
+        message = f"block {block.name} fell through without a terminator"
+        out.append(f"_fail({message!r})")
+        return out
+
+    def terminator(self, inst, block) -> List[str]:
+        if inst.opcode is Opcode.RET:
+            if not inst.operands:
+                return ["return -1"]
+            return [f"r[-1] = {self.operand(inst.operands[0], block)}",
+                    "return -1"]
+        if not inst.operands:
+            return self.edge(block, inst.targets[0])
+        condition = self.operand(inst.operands[0], block)
+        return ([f"if {condition}:"]
+                + [f"    {line}" for line in self.edge(block,
+                                                        inst.targets[0])]
+                + self.edge(block, inst.targets[1]))
+
+    @staticmethod
+    def record(table: str, iid: int, expr: str) -> List[str]:
+        """Append ``expr`` to ``table[iid]``, first use creating the list
+        (so keys keep first-encounter order)."""
+        return [f"try: {table}[{iid}].append({expr})",
+                f"except KeyError: {table}[{iid}] = [{expr}]"]
+
+    def instruction(self, inst, dest: str, ops: List[str],
+                    out: List[str]) -> None:
+        opcode = inst.opcode
+        if opcode in _INLINE:
+            out.append(f"{dest} = {ops[0]} {_INLINE[opcode]} {ops[1]}")
+            if opcode in _WRAPPING:
+                out.append(f"if not {_I64_MIN} <= {dest} <= {_I64_MAX}: "
+                           f"{dest} = _wrap({dest})")
+        elif opcode in _BINOPS:
+            out.append(f"{dest} = {self.bind(_BINOPS[opcode])}"
+                       f"({ops[0]}, {ops[1]})")
+        elif opcode is Opcode.GEP:
+            out.append(f"{dest} = {ops[0]} + {ops[1]} * "
+                       f"{inst.type.pointee.size}")
+        elif opcode is Opcode.LOAD:
+            out.extend(self.record("at", inst.iid, ops[0]))
+            out.append(f"{dest} = load({ops[0]}, {self.bind(inst.type)})")
+        elif opcode is Opcode.STORE:
+            out.extend(self.record("at", inst.iid, ops[1]))
+            out.append(f"store({ops[1]}, {ops[0]})")
+        elif opcode is Opcode.ICMP:
+            out.append(f"{dest} = 1 if {ops[0]} "
+                       f"{_ICMP_OPS[inst.predicate]} {ops[1]} else 0")
+        elif opcode is Opcode.FCMP:
+            # ordered: false when either side is NaN
+            out.append(f"{dest} = 0 if _isnan({ops[0]}) or _isnan({ops[1]}) "
+                       f"else int({self.bind(_FCMP[inst.predicate])}"
+                       f"({ops[0]}, {ops[1]}))")
+        elif opcode is Opcode.SELECT:
+            out.append(f"{dest} = {ops[1]} if {ops[0]} else {ops[2]}")
+        elif isinstance(inst, CastInst):
+            out.append(f"{dest} = {self.bind(_cast_fn(inst))}({ops[0]})")
+        elif opcode is Opcode.ATOMICRMW:
+            out.extend(self.record("at", inst.iid, ops[0]))
+            out.append(f"{dest} = load({ops[0]}, {self.bind(inst.type)})")
+            out.append(f"store({ops[0]}, "
+                       f"{self.bind(_ATOMIC[inst.operation])}"
+                       f"({dest}, {ops[1]}))")
+        elif opcode is Opcode.ALLOCA:
+            out.append(f"{dest} = memory.alloc(1, "
+                       f"{self.bind(inst.element_type)}, "
+                       f"name={inst.name or 'slot'!r}).base")
+        elif opcode is Opcode.CALL:
+            self.call(inst, dest, ops, out)
+        else:
+            raise InterpreterError(f"cannot interpret {opcode.value}")
+
+    def call(self, inst, dest: str, ops: List[str], out: List[str]) -> None:
+        name = inst.callee
+        # yield points: the kernel suspends for its peers (SPMD/DAE)
+        if name == "barrier":
+            out += ["yield 'barrier'", f"{dest} = None"]
+            self.generator = True
+        elif name.startswith("recv_"):
+            out.append(f"{dest} = int({ops[0]})")
+            out.extend(self.record("ct", inst.iid, dest))
+            out.append(f"{dest} = yield from I._recv({dest}, tile)")
+            self.generator = True
+        elif name.startswith(("dae_consume", "dae_store_take")):
+            out.append(f"{dest} = yield from "
+                       f"I._dae_pop({name!r}, tile, num_tiles)")
+            self.generator = True
+        elif name == "tile_id":
+            out.append(f"{dest} = tile")
+        elif name == "num_tiles":
+            out.append(f"{dest} = num_tiles")
+        elif name in _MATH:
+            out.append(f"{dest} = {self.bind(_MATH[name])}({ops[0]})")
+        elif name.startswith("send_"):
+            out.append(f"{dest} = int({ops[0]})")
+            out.extend(self.record("ct", inst.iid, dest))
+            out.append(f"{dest} = I._send(tile, {dest}, {ops[1]})")
+        elif name.startswith(("dae_produce", "dae_store_value")):
+            queues = "I.dae_load_q" if name.startswith("dae_produce") \
+                else "I.dae_store_q"
+            out.append(f"{dest} = I._dae_push({queues}, {ops[0]}, tile, "
+                       f"num_tiles)")
+        elif name.startswith("accel_"):
+            out.append(f"{dest} = [{', '.join(ops)}]")
+            out.append(f"calls.append(_Accel({inst.iid}, {name!r}, "
+                       f"tuple({dest})))")
+            out.append(f"_apply_accelerator({name!r}, {dest}, memory)")
+            out.append(f"{dest} = None")
+        else:
+            kind = "DAE intrinsic" if name.startswith("dae_") else "callee"
+            message = f"unknown {kind} {name!r}"
+            out.append(f"{dest} = _fail({message!r})")
+
+
 class Interpreter:
     """Executes mini-IR kernels functionally and records dynamic traces."""
 
@@ -191,9 +429,8 @@ class Interpreter:
         self._progress = 0
         #: set by run_dae_pair so both slices of a pair share one queue
         self._dae_pair_override: int = None
-        #: per-function execution plans (precompiled blocks), keyed
-        #: id(function) -> (entry_plan, plans_by_block_id)
-        self._plans: Dict[int, tuple] = {}
+        #: rendered and compiled functions: function -> (make, table)
+        self._programs: Dict[Function, tuple] = {}
 
     # ------------------------------------------------------------------
     def run(self, func_name: str, args: Sequence, *, tile: int = 0,
@@ -281,266 +518,50 @@ class Interpreter:
     # ------------------------------------------------------------------
     def _exec(self, func: Function, args: Sequence, tile: int,
               num_tiles: int, trace: KernelTrace, collect: bool):
-        """Generator executing ``func`` over precompiled block plans.
+        """Generator executing ``func`` through its rendered blocks.
 
-        Each block is compiled once (per interpreter) into a list of step
-        tuples with pre-resolved handlers and operand slots; execution is
-        then a tight dispatch loop. Semantics — including trace contents,
-        step accounting, and co-operative yield points — are identical to
-        the direct tree-walking interpreter this replaces.
+        The function is rendered to Python source and compiled once per
+        interpreter (:class:`_Renderer`); each run instantiates fresh
+        block closures over its own register list. This loop records the
+        taken block, accounts its instructions against the step limit,
+        and enters generator blocks with ``yield from`` so barrier and
+        queue waits suspend the whole kernel. Without ``collect`` the
+        block functions record into a scratch trace that is dropped.
         """
-        cached = self._plans.get(id(func))
-        entry_plan = cached[0] if cached is not None \
-            else self._build_plans(func)[0]
-        env: Dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = actual
-
-        memory = self.memory
+        program = self._programs.get(func)
+        if program is None:
+            program = self._programs[func] = _Renderer(func).render()
+        make, table = program
+        sink = trace if collect else KernelTrace(func.name)
+        registers, blocks = make(self, sink, tile, num_tiles)
+        registers[:len(args)] = args
+        record_block = sink.block_trace.append
         steps = 0
         limit = self.step_limit
-        plan = entry_plan
-        prev_plan_id = None
-        record_block = trace.record_block
-        record_address = trace.record_address
-
-        while True:
-            if collect:
-                record_block(plan.bid)
-            phis = plan.phis
-            if phis:
-                staged = [
-                    (payload if is_const else env[payload])
-                    for _, incoming in phis
-                    for is_const, payload in (incoming[prev_plan_id],)
-                ]
-                for (dest, _), value in zip(phis, staged):
-                    env[dest] = value
-            steps += plan.num_insts
+        k = 0
+        while k >= 0:
+            bid, size, is_generator = table[k]
+            record_block(bid)
+            steps += size
             if steps > limit:
                 raise StepLimitExceeded(
                     f"{func.name} exceeded {limit} dynamic instructions")
+            k = (yield from blocks[k]()) if is_generator else blocks[k]()
+        trace.dynamic_instructions = steps
+        return registers[-1]
 
-            next_plan = None
-            for step in plan.steps:
-                kind = step[0]
-                if kind == 0:        # binary op
-                    _, dest, fn, op0, op1 = step
-                    a = op0[1] if op0[0] else env[op0[1]]
-                    b = op1[1] if op1[0] else env[op1[1]]
-                    env[dest] = fn(a, b)
-                elif kind == 1:      # getelementptr
-                    _, dest, op0, op1, size = step
-                    base = op0[1] if op0[0] else env[op0[1]]
-                    index = op1[1] if op1[0] else env[op1[1]]
-                    env[dest] = base + index * size
-                elif kind == 2:      # load
-                    _, dest, op0, iid, ty = step
-                    address = op0[1] if op0[0] else env[op0[1]]
-                    if collect:
-                        record_address(iid, address)
-                    env[dest] = memory.load(address, ty)
-                elif kind == 3:      # store
-                    _, opv, opp, iid = step
-                    address = opp[1] if opp[0] else env[opp[1]]
-                    if collect:
-                        record_address(iid, address)
-                    memory.store(address,
-                                 opv[1] if opv[0] else env[opv[1]])
-                elif kind == 4:      # icmp
-                    _, dest, fn, op0, op1 = step
-                    a = op0[1] if op0[0] else env[op0[1]]
-                    b = op1[1] if op1[0] else env[op1[1]]
-                    env[dest] = int(fn(a, b))
-                elif kind == 5:      # fcmp (ordered: False on NaN)
-                    _, dest, fn, op0, op1 = step
-                    a = op0[1] if op0[0] else env[op0[1]]
-                    b = op1[1] if op1[0] else env[op1[1]]
-                    if math.isnan(a) or math.isnan(b):
-                        env[dest] = 0
-                    else:
-                        env[dest] = int(fn(a, b))
-                elif kind == 6:      # conditional branch
-                    _, opc, if_true, if_false = step
-                    taken = opc[1] if opc[0] else env[opc[1]]
-                    next_plan = if_true if taken else if_false
-                    break
-                elif kind == 7:      # unconditional branch
-                    next_plan = step[1]
-                    break
-                elif kind == 8:      # ret
-                    trace.dynamic_instructions = steps
-                    op = step[1]
-                    if op is None:
-                        return None
-                    return op[1] if op[0] else env[op[1]]
-                elif kind == 9:      # select
-                    _, dest, opc, opt, opf = step
-                    cond = opc[1] if opc[0] else env[opc[1]]
-                    chosen = opt if cond else opf
-                    env[dest] = chosen[1] if chosen[0] else env[chosen[1]]
-                elif kind == 10:     # cast
-                    _, dest, fn, op0 = step
-                    env[dest] = fn(op0[1] if op0[0] else env[op0[1]])
-                elif kind == 11:     # atomicrmw
-                    _, dest, fn, opp, opv, iid, ty = step
-                    address = opp[1] if opp[0] else env[opp[1]]
-                    if collect:
-                        record_address(iid, address)
-                    old = memory.load(address, ty)
-                    memory.store(address,
-                                 fn(old, opv[1] if opv[0] else env[opv[1]]))
-                    env[dest] = old
-                elif kind == 12:     # barrier: co-operative switch (SPMD)
-                    yield "barrier"
-                    env[step[1]] = None
-                elif kind == 13:     # recv_*: blocking pop from a channel
-                    _, dest, op0, iid = step
-                    src = int(op0[1] if op0[0] else env[op0[1]])
-                    if collect:
-                        trace.record_peer(iid, src)
-                    key = (src, tile)
-                    while True:
-                        queue = self.channels.get(key)
-                        if queue:
-                            break
-                        yield "recv_wait"
-                    env[dest] = queue.popleft()
-                    self._progress += 1
-                elif kind == 14:     # dae_consume / dae_store_take
-                    _, dest, callee = step
-                    while True:
-                        ok, value = self._dae_try_pop(callee, tile,
-                                                      num_tiles)
-                        if ok:
-                            break
-                        yield "dae_wait"
-                    env[dest] = value
-                elif kind == 15:     # other calls (math, send, accel, ...)
-                    inst = step[2]
-                    env[step[1]] = self._call(inst, env, tile, num_tiles,
-                                              trace, collect)
-                else:                # 16: alloca (un-promoted scalar slot)
-                    inst = step[2]
-                    ref = memory.alloc(1, inst.element_type,
-                                       name=inst.name or "slot")
-                    env[step[1]] = ref.base
+    # -- communication called from rendered blocks ------------------------
+    def _send(self, tile: int, dest: int, value) -> None:
+        self.channels.setdefault((tile, dest), deque()).append(value)
+        self._progress += 1
 
-            if next_plan is None:
-                raise InterpreterError(
-                    f"block {plan.name} fell through without a terminator")
-            prev_plan_id = id(plan)
-            plan = next_plan
-
-    # -- plan compilation ----------------------------------------------------
-    def _build_plans(self, func: Function):
-        plans: Dict[int, "_BlockPlan"] = {}
-        for block in func.blocks:
-            plans[id(block)] = _BlockPlan(block.bid, block.name,
-                                          len(block.instructions))
-        for block in func.blocks:
-            plan = plans[id(block)]
-            phis = block.phis
-            for phi in phis:
-                incoming = {}
-                for value, pred in zip(phi.operands, phi.incoming_blocks):
-                    incoming[id(plans[id(pred)])] = _slot(value)
-                plan.phis.append((id(phi), incoming))
-            plan.steps = [self._compile_step(inst, plans)
-                          for inst in block.instructions[len(phis):]]
-        entry = plans[id(func.entry)]
-        # pin the function: the cache key is id(func), so the function
-        # must stay alive for as long as its plans are cached
-        result = (entry, plans, func)
-        self._plans[id(func)] = result
-        return result
-
-    def _compile_step(self, inst, plans):
-        opcode = inst.opcode
-        fn = _BINOPS.get(opcode)
-        if fn is not None:
-            return (0, id(inst), fn, _slot(inst.operands[0]),
-                    _slot(inst.operands[1]))
-        if opcode is Opcode.GEP:
-            return (1, id(inst), _slot(inst.operands[0]),
-                    _slot(inst.operands[1]), inst.type.pointee.size)
-        if opcode is Opcode.LOAD:
-            return (2, id(inst), _slot(inst.operands[0]), inst.iid,
-                    inst.type)
-        if opcode is Opcode.STORE:
-            return (3, _slot(inst.operands[0]), _slot(inst.operands[1]),
-                    inst.iid)
-        if opcode is Opcode.ICMP:
-            return (4, id(inst), _ICMP[inst.predicate],
-                    _slot(inst.operands[0]), _slot(inst.operands[1]))
-        if opcode is Opcode.FCMP:
-            return (5, id(inst), _FCMP[inst.predicate],
-                    _slot(inst.operands[0]), _slot(inst.operands[1]))
-        if opcode is Opcode.BR:
-            if inst.operands:
-                return (6, _slot(inst.operands[0]),
-                        plans[id(inst.targets[0])],
-                        plans[id(inst.targets[1])])
-            return (7, plans[id(inst.targets[0])])
-        if opcode is Opcode.RET:
-            return (8, _slot(inst.operands[0]) if inst.operands else None)
-        if opcode is Opcode.SELECT:
-            return (9, id(inst), _slot(inst.operands[0]),
-                    _slot(inst.operands[1]), _slot(inst.operands[2]))
-        if isinstance(inst, CastInst):
-            return (10, id(inst), _cast_fn(inst), _slot(inst.operands[0]))
-        if opcode is Opcode.ATOMICRMW:
-            return (11, id(inst), _ATOMIC[inst.operation],
-                    _slot(inst.operands[0]), _slot(inst.operands[1]),
-                    inst.iid, inst.type)
-        if opcode is Opcode.CALL:
-            callee = inst.callee
-            if callee == "barrier":
-                return (12, id(inst))
-            if callee.startswith("recv_"):
-                return (13, id(inst), _slot(inst.operands[0]), inst.iid)
-            if callee.startswith("dae_consume") or \
-                    callee.startswith("dae_store_take"):
-                return (14, id(inst), callee)
-            return (15, id(inst), inst)
-        if opcode is Opcode.ALLOCA:
-            return (16, id(inst), inst)
-        raise InterpreterError(f"cannot interpret {opcode.value}")
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _value(env: Dict[int, object], value):
-        if isinstance(value, Constant):
-            return value.value
-        return env[id(value)]
-
-    def _call(self, inst: CallInst, env: Dict[int, object], tile: int,
-              num_tiles: int, trace: KernelTrace, collect: bool):
-        name = inst.callee
-        args = [self._value(env, a) for a in inst.operands]
-        if name == "tile_id":
-            return tile
-        if name == "num_tiles":
-            return num_tiles
-        fn = _MATH.get(name)
-        if fn is not None:
-            return fn(args[0])
-        if name.startswith("send_"):
-            dest = int(args[0])
-            if collect:
-                trace.record_peer(inst.iid, dest)
-            self.channels.setdefault((tile, dest), deque()).append(args[1])
-            self._progress += 1
-            return None
-        if name.startswith("dae_"):
-            return self._dae(name, args, tile, num_tiles, trace)
-        if name.startswith("accel_"):
-            if collect:
-                trace.accel_calls.append(
-                    AccelInvocation(inst.iid, name, tuple(args)))
-            apply_accelerator(name, args, self.memory)
-            return None
-        raise InterpreterError(f"unknown callee {name!r}")
+    def _recv(self, src: int, tile: int):
+        """Blocking pop from channel ``src -> tile``."""
+        key = (src, tile)
+        while not self.channels.get(key):
+            yield "recv_wait"
+        self._progress += 1
+        return self.channels[key].popleft()
 
     def _pair_of(self, tile: int, num_tiles: int) -> int:
         """DAE queue key. Under run_dae_pair both slices share an explicit
@@ -551,32 +572,25 @@ class Interpreter:
         pairs = max(1, num_tiles // 2)
         return tile if tile < pairs else tile - pairs
 
-    def _dae(self, name: str, args, tile: int, num_tiles: int,
-             trace: KernelTrace):
-        """Non-blocking DAE pushes (pops are handled as yield points in
-        the main loop)."""
-        pair = self._pair_of(tile, num_tiles)
-        if name.startswith("dae_produce"):
-            self.dae_load_q.setdefault(pair, deque()).append(args[0])
-            self._progress += 1
-            return None
-        if name.startswith("dae_store_value"):
-            self.dae_store_q.setdefault(pair, deque()).append(args[0])
-            self._progress += 1
-            return None
-        raise InterpreterError(f"unknown DAE intrinsic {name!r}")
+    def _dae_push(self, queues: Dict[int, deque], value, tile: int,
+                  num_tiles: int) -> None:
+        queues.setdefault(self._pair_of(tile, num_tiles),
+                          deque()).append(value)
+        self._progress += 1
 
-    def _dae_try_pop(self, name: str, tile: int, num_tiles: int):
-        """Attempt a DAE pop; returns (ok, value)."""
-        pair = self._pair_of(tile, num_tiles)
-        queue_map = (self.dae_load_q if name.startswith("dae_consume")
-                     else self.dae_store_q)
-        queue = queue_map.get(pair)
-        if not queue:
-            return False, None
+    def _dae_pop(self, name: str, tile: int, num_tiles: int):
+        """Blocking DAE pop (``dae_consume*`` from the load queue,
+        ``dae_store_take*`` from the store-value queue)."""
+        queues = (self.dae_load_q if name.startswith("dae_consume")
+                  else self.dae_store_q)
+        while True:
+            queue = queues.get(self._pair_of(tile, num_tiles))
+            if queue:
+                break
+            yield "dae_wait"
         self._dae_pops += 1
         self._progress += 1
-        return True, queue.popleft()
+        return queue.popleft()
 
     def run_dae_pair(self, access_fn: str, execute_fn: str, args: Sequence,
                      *, pair: int = 0, pairs: int = 1):

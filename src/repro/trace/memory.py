@@ -105,15 +105,25 @@ class SimMemory:
         return ref
 
     # ------------------------------------------------------------------
+    #: (base, end, segment) of the last segment resolved; accesses
+    #: cluster, so most lookups skip the bisect. A class default, so a
+    #: SimMemory pickled without it still works.
+    _hot = (0, 0, None)
+
     def _segment_for(self, address: int) -> ArrayRef:
+        base, end, segment = self._hot
+        if base <= address < end:
+            return segment
         index = bisect.bisect_right(self._bases, address) - 1
         if index < 0:
             raise MemoryError_(f"unmapped address {address:#x}")
         segment = self._segments[index]
-        if address >= segment.end:
+        end = segment.end
+        if address >= end:
             raise MemoryError_(
                 f"address {address:#x} past end of segment {segment.name} "
-                f"([{segment.base:#x}, {segment.end:#x}))")
+                f"([{segment.base:#x}, {end:#x}))")
+        self._hot = (segment.base, end, segment)
         return segment
 
     def load(self, address: int, ty: IRType):
@@ -123,7 +133,7 @@ class SimMemory:
         if offset % elem_size:
             raise MemoryError_(
                 f"misaligned access at {address:#x} in {segment.name}")
-        value = segment.data[offset // elem_size]
+        value = segment.data.item(offset // elem_size)
         value = int(value) if ty.is_integer else float(value)
         if self.injector is not None:
             value = self.injector.corrupt_load(address, value)

@@ -81,6 +81,50 @@ class TestFunctionalSemantics:
         with pytest.raises(InterpreterError, match="division by zero"):
             run_kernel(compile_kernel(source), [1])
 
+    @pytest.mark.parametrize("shift", [0, 64])
+    def test_lshr_by_multiple_of_64_stays_in_i64(self, shift):
+        """A logical shift by 0 (mod 64) leaves a negative i64 as it is,
+        as in LLVM; the result must still fit an i64 segment."""
+        from repro.ir import parse_function
+        source = (
+            "define void @f(i64* %A, i64 %x) {\n"
+            "entry:\n"
+            f"  %y = lshr i64 %x, {shift}\n"
+            "  store i64 %y, i64* %A\n"
+            "  ret void\n"
+            "}\n")
+        mem = SimMemory()
+        A = mem.alloc(1, I64, "A")
+        module = Module("m")
+        module.add_function(parse_function(source))
+        Interpreter(module, mem).run("f", [A, -1])
+        assert A.data[0] == -1
+
+    @pytest.mark.parametrize("n,expected", [(1, 12), (2, 21), (3, 12)])
+    def test_phis_assign_simultaneously(self, n, expected):
+        """Phis that read each other on a back edge (a swap) all take
+        the values from before the edge, not from one another."""
+        from repro.ir import parse_function
+        source = (
+            "define i64 @swap(i64 %n) {\n"
+            "entry:\n"
+            "  br label %loop\n"
+            "loop:\n"
+            "  %a = phi i64 [ 1, %entry ], [ %b, %loop ]\n"
+            "  %b = phi i64 [ 2, %entry ], [ %a, %loop ]\n"
+            "  %i = phi i64 [ 0, %entry ], [ %j, %loop ]\n"
+            "  %j = add i64 %i, 1\n"
+            "  %c = icmp slt i64 %j, %n\n"
+            "  br i1 %c, label %loop, label %exit\n"
+            "exit:\n"
+            "  %t = mul i64 %a, 10\n"
+            "  %s = add i64 %t, %b\n"
+            "  ret i64 %s\n"
+            "}\n")
+        module = Module("m")
+        module.add_function(parse_function(source))
+        assert Interpreter(module).run("swap", [n]).return_value == expected
+
     def test_math_intrinsics(self, rng):
         n = 16
         a = rng.uniform(-2, 2, n)

@@ -45,6 +45,18 @@ class TestSimMemory:
         with pytest.raises(MemoryError_, match="past end"):
             mem.load(a.end, F64)
 
+    def test_past_end_raises_after_segment_resolved(self, mem):
+        """The last-resolved segment is checked before bisecting; a load
+        from the alignment padding just past its end must still fault."""
+        a = mem.alloc(3, F64, "a")
+        mem.alloc(2, F64, "b")
+        assert a.end % 64  # 24 bytes: the padding up to b is unmapped
+        assert mem.load(a.address_of(2), F64) == 0.0
+        with pytest.raises(MemoryError_, match="past end"):
+            mem.load(a.end, F64)
+        with pytest.raises(MemoryError_, match="past end"):
+            mem.store(a.end + 8, 1.0)
+
     def test_misaligned_access_raises(self, mem):
         a = mem.alloc(2, F64, "a")
         with pytest.raises(MemoryError_, match="misaligned"):

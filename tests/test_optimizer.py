@@ -69,6 +69,30 @@ class TestConstantFold:
                  if i.opcode is Opcode.SDIV]
         assert sdivs
 
+    @pytest.mark.parametrize("source,args,expected", [
+        # i64 overflow wraps, as the interpreter computes it
+        ("def f() -> int:\n"
+         "    if 9223372036854775807 + 1 < 0:\n        return 1\n"
+         "    return 0\n", [], 1),
+        ("def f() -> int:\n"
+         "    return 9223372036854775807 + 1\n", [], -(1 << 63)),
+        # the shift amount is masked to 6 bits: 1 << 64 == 1
+        ("def f(x: int) -> int:\n"
+         "    return x + (1 << 64)\n", [0], 1),
+        # an out-of-range fptosi wraps like every other i64 result
+        ("def f() -> int:\n"
+         "    if int(1e19) < 0:\n        return 1\n"
+         "    return 0\n", [], 1),
+    ], ids=["overflow-compare", "overflow-return", "shift-mask",
+            "fptosi-wrap"])
+    def test_folding_matches_interpreter(self, source, args, expected):
+        unfolded = _run(compile_kernel(source).finalize(), args)
+        func = compile_kernel(source)
+        assert constant_fold(func) >= 1
+        folded = _run(func.finalize(), args)
+        assert unfolded.return_value == expected
+        assert folded.return_value == expected
+
 
 class TestCSE:
     def test_removes_duplicate_geps(self):
