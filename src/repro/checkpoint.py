@@ -22,46 +22,34 @@ at that point every event due at the saved cycle has fired and every
 due tile has stepped to a fixed point, so re-entering the loop replays
 the exact decisions an uninterrupted run would have made.
 
-On-disk format (version :data:`CHECKPOINT_SCHEMA_VERSION`)::
-
-    8 bytes   magic  b"MSIMCKPT"
-    4 bytes   schema version (little-endian)
-    32 bytes  SHA-256 of the payload
-    8 bytes   payload length (little-endian)
-    N bytes   payload: zlib-compressed pickle of {"cycle", "interleaver"}
+On disk a checkpoint is the artifact envelope of :mod:`repro.ioutil`
+(magic, ``ARTIFACT_FORMAT``, the writing code's fingerprint, payload
+SHA-256 and length) around a zlib-compressed pickle of ``{"cycle",
+"interleaver"}``. A snapshot written by different simulator code is
+refused, never resumed.
 
 Writes are atomic (temp file + fsync + rename, via :mod:`repro.ioutil`)
 and :class:`CheckpointSink` rotates the last ``keep`` snapshots, so a
 crash mid-save never loses the previous good checkpoint. Every load
-failure — missing file, wrong magic, version mismatch, truncation,
-corruption — raises a structured
+failure — missing file, wrong magic, format or code mismatch,
+truncation, corruption — raises a structured
 :class:`~repro.sim.errors.CheckpointError`, never a pickle traceback.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
-import struct
-import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .ioutil import atomic_write_bytes
+from .ioutil import ArtifactError, atomic_write_bytes, pack, unpack
 from .sim.errors import CheckpointError
 
 __all__ = [
-    "CHECKPOINT_SCHEMA_VERSION", "Checkpoint", "CheckpointError",
+    "Checkpoint", "CheckpointError",
     "CheckpointSink", "find_injector", "load_checkpoint",
     "resume_simulation", "save_checkpoint",
 ]
-
-#: bump when the snapshot layout changes incompatibly
-CHECKPOINT_SCHEMA_VERSION = 2
-
-_MAGIC = b"MSIMCKPT"
-_HEADER = struct.Struct("<8sI32sQ")
 
 
 @dataclass
@@ -69,11 +57,10 @@ class Checkpoint:
     """A restored snapshot: the live Interleaver plus its cycle cursor.
 
     ``run_id`` is the originating run's registry id (None for snapshots
-    taken before the run registry existed or without one): a resumed
+    taken without one): a resumed
     run keeps writing artifacts under the same id, so the whole
     crash/resume lineage stays joinable."""
 
-    schema_version: int
     cycle: int
     interleaver: object
     run_id: Optional[str] = None
@@ -99,13 +86,11 @@ def save_checkpoint(interleaver, path: str, *, cycle: int,
     try:
         # level 1: autosaves sit on the simulation's critical path, and
         # the pickle compresses ~8:1 even at the fastest setting
-        payload = zlib.compress(pickle.dumps(document, protocol=4), 1)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        blob = pack(document, level=1)
+    except ArtifactError as exc:
         raise CheckpointError(
             f"simulation state is not snapshottable: {exc}") from exc
-    header = _HEADER.pack(_MAGIC, CHECKPOINT_SCHEMA_VERSION,
-                          hashlib.sha256(payload).digest(), len(payload))
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, blob)
     return path
 
 
@@ -113,8 +98,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Restore a :class:`Checkpoint` from ``path``.
 
     Raises :class:`CheckpointError` with a precise message on every
-    failure mode (missing/foreign file, schema mismatch, truncated or
-    corrupt payload).
+    failure mode (missing/foreign file, format or code mismatch,
+    truncated or corrupt payload).
     """
     try:
         with open(path, "rb") as handle:
@@ -122,40 +107,18 @@ def load_checkpoint(path: str) -> Checkpoint:
     except OSError as exc:
         raise CheckpointError(
             f"cannot read checkpoint {path!r}: {exc}") from exc
-    if len(blob) < _HEADER.size:
-        raise CheckpointError(
-            f"checkpoint {path!r} is truncated: {len(blob)} bytes is "
-            f"smaller than the {_HEADER.size}-byte header")
-    magic, version, digest, length = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise CheckpointError(
-            f"{path!r} is not a MosaicSim checkpoint (bad magic "
-            f"{magic!r})")
-    if version != CHECKPOINT_SCHEMA_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path!r} has schema version {version}, but this "
-            f"build reads version {CHECKPOINT_SCHEMA_VERSION}; re-run the "
-            f"original simulation to produce a fresh snapshot")
-    payload = blob[_HEADER.size:]
-    if len(payload) != length:
-        raise CheckpointError(
-            f"checkpoint {path!r} is truncated: header promises {length} "
-            f"payload bytes, found {len(payload)}")
-    if hashlib.sha256(payload).digest() != digest:
-        raise CheckpointError(
-            f"checkpoint {path!r} is corrupt: payload digest mismatch")
     try:
-        document = pickle.loads(zlib.decompress(payload))
-    except Exception as exc:  # zlib.error, UnpicklingError, ImportError...
-        raise CheckpointError(
-            f"checkpoint {path!r} payload does not decode: {exc}") from exc
+        document = unpack(blob)
+    except ArtifactError as exc:
+        raise CheckpointError(f"checkpoint {path!r}: {exc}; re-run the "
+                              f"original simulation to produce a fresh "
+                              f"snapshot") from exc
     cycle = document["cycle"]
     interleaver = document["interleaver"]
     # arm the run loop to continue from the snapshot cycle
     interleaver._resume_cycle = cycle
-    # .get(): pre-registry checkpoints carry no run_id and stay loadable
-    return Checkpoint(version, cycle, interleaver,
-                      run_id=document.get("run_id"))
+    # .get(): snapshots taken without a run id carry none
+    return Checkpoint(cycle, interleaver, run_id=document.get("run_id"))
 
 
 class CheckpointSink:

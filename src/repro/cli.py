@@ -198,7 +198,7 @@ def _record_manifest(args, run_id, *, workload, status, stats=None,
     without). Returns the manifest path or None."""
     if not getattr(args, "registry", None) or run_id is None:
         return None
-    from .checkpoint import CHECKPOINT_SCHEMA_VERSION
+    from .ioutil import ARTIFACT_FORMAT
     from .registry import RunManifest, RunRegistry
     from .telemetry import (
         HEARTBEAT_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
@@ -213,7 +213,7 @@ def _record_manifest(args, run_id, *, workload, status, stats=None,
         schema_versions={
             "trace": TRACE_SCHEMA_VERSION,
             "metrics": METRICS_SCHEMA_VERSION,
-            "checkpoint": CHECKPOINT_SCHEMA_VERSION,
+            "artifact": ARTIFACT_FORMAT,
             "heartbeat": HEARTBEAT_SCHEMA_VERSION,
         },
         artifacts={kind: path for kind, path in (artifacts or {}).items()
@@ -307,7 +307,7 @@ def _run_core_sweep(args, core, hierarchy, plan=None,
             num_tiles=args.tiles, max_cycles=args.max_cycles,
             wall_clock_limit=wall_clock_limit, jobs=args.jobs,
             journal_path=args.journal, resume=args.resume_sweep,
-            heartbeat_every=heartbeat_every, prep_cache=cache)
+            heartbeat_every=heartbeat_every)
     except TypeError as exc:
         raise SystemExit(f"bad --sweep grid: {exc}")
     if args.journal and heartbeat_every:
@@ -1082,7 +1082,7 @@ def cmd_cache(args) -> int:
     if action == "stats":
         stats = cache.stats()
         print(f"root: {stats['root']}")
-        print(f"schema: {stats['schema']}")
+        print(f"artifact format: {stats['artifact']}")
         print(f"entries: {stats['entries']}")
         print(f"total_bytes: {stats['total_bytes']}")
         print(f"max_bytes: {stats['max_bytes']}")

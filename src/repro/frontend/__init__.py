@@ -5,14 +5,11 @@ and registers the simulator intrinsics (SPMD queries, message passing, DAE
 queues, atomics, accelerator API).
 """
 
-from .compiler import (
-    FRONTEND_SCHEMA_VERSION, CompileError, compile_kernel, compile_module,
-)
+from .compiler import CompileError, compile_kernel, compile_module
 from .intrinsics import ACCEL_INTRINSICS, IntrinsicInfo, all_intrinsics, lookup
 from .native import NativeContext
 
 __all__ = [
-    "FRONTEND_SCHEMA_VERSION",
     "CompileError", "compile_kernel", "compile_module",
     "ACCEL_INTRINSICS", "IntrinsicInfo", "all_intrinsics", "lookup",
     "NativeContext",

@@ -11,8 +11,7 @@ from .reporting import (
     render_report_diff, render_table, render_timeline,
 )
 from .prepcache import (
-    DEFAULT_MAX_BYTES, PREPCACHE_SCHEMA_VERSION, PrepareCache,
-    default_cache_root, prepare_key,
+    DEFAULT_MAX_BYTES, PrepareCache, default_cache_root, prepare_key,
 )
 from .runner import (
     DAEPairSpec, DEFAULT_MAX_CYCLES, FaultedRun, Prepared, RunOutcome,
@@ -50,8 +49,8 @@ __all__ = [
     "render_campaign_report", "render_memory_diff",
     "render_memstat_report", "render_report_diff", "render_table",
     "render_timeline",
-    "DEFAULT_MAX_BYTES", "PREPCACHE_SCHEMA_VERSION", "PrepareCache",
-    "default_cache_root", "prepare_key",
+    "DEFAULT_MAX_BYTES", "PrepareCache", "default_cache_root",
+    "prepare_key",
     "DAEPairSpec", "DEFAULT_MAX_CYCLES", "FaultedRun", "Prepared",
     "RunOutcome", "build_dae", "build_heterogeneous", "build_system",
     "classify_failure", "graceful_interrupts", "prepare", "prepare_dae",

@@ -12,14 +12,14 @@ Key derivation
 --------------
 A key is the SHA-256 over:
 
+* the code fingerprint (:func:`repro.ioutil.code_fingerprint`) — any
+  change to the simulator's source invalidates every old entry at once;
 * the compiled kernel's formatted IR (``format_function``) — covers
   source text, compiler pipeline and SSA naming in one artifact;
 * the bound argument spec (scalars by repr, arrays by segment identity);
 * the full initial memory image (segment layout + data bytes), hashed
-  *before* functional interpretation mutates it;
-* ``num_tiles``; and
-* the frontend/interpreter/cache schema versions, so a change to
-  lowering or trace semantics invalidates every old entry at once.
+  *before* functional interpretation mutates it; and
+* ``num_tiles``.
 
 Fault injectors corrupt functional loads and advance RNG/log state
 during trace generation, so a prepare with an injector attached always
@@ -27,12 +27,15 @@ bypasses the cache (both lookup and store).
 
 Entry format and integrity
 --------------------------
-One entry is ``<key>.prep`` — a pickled envelope holding the cache
-schema version, the key, a zlib-compressed pickle of the artifact, and
-the payload's SHA-256 — plus a ``<key>.json`` sidecar of human-readable
-metadata. Both are written atomically (:mod:`repro.ioutil`), so
-concurrent writers racing on one key are safe: last rename wins and
-every reader sees a complete entry. Corrupt, stale, or truncated
+An entry stores data, not code: ``(key, (traces, [(segment_identity,
+data)]))`` — the per-tile traces and the post-interpretation memory
+segments — in the artifact envelope of :mod:`repro.ioutil` (code
+fingerprint, payload SHA-256). A hit keeps the live compiled function,
+rebuilds the DDG from it and overlays the segments onto the live
+memory. ``<key>.prep`` sits next to a ``<key>.json`` sidecar of
+human-readable metadata. Both are written atomically, so concurrent
+writers racing on one key are safe: last rename wins and every reader
+sees a complete entry. Corrupt, truncated, foreign-code or mismatched
 entries are discarded with a STATUS warning and the caller falls back
 to a fresh compile — a broken cache can cost time, never correctness.
 
@@ -48,21 +51,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import time
-import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..frontend.compiler import FRONTEND_SCHEMA_VERSION
+from ..ioutil import (
+    ARTIFACT_FORMAT, ArtifactError, atomic_write_bytes, atomic_write_json,
+    code_fingerprint, pack, payload_digest, unpack,
+)
 from ..ir import format_function
 from ..ir.function import Function
-from ..trace.interpreter import INTERPRETER_SCHEMA_VERSION
 from ..trace.memory import ArrayRef, SimMemory
 from .status import STATUS
-
-#: bump when the entry envelope or the keyed artifact layout changes
-#: incompatibly — old entries then read as stale and recompile
-PREPCACHE_SCHEMA_VERSION = 1
 
 #: default size cap for the on-disk cache
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -85,6 +84,21 @@ def _segment_identity(segment: ArrayRef) -> tuple:
             len(segment.data))
 
 
+def overlay_segments(memory: SimMemory, segments: Sequence) -> bool:
+    """Copy cached ``(segment_identity, data)`` pairs into the live
+    SimMemory, so a cache hit leaves the caller's memory exactly as a
+    fresh functional run would — ``workload.verify()`` reads it. False,
+    with nothing copied, when the layouts disagree."""
+    targets = {_segment_identity(segment): segment
+               for segment in memory.segments}
+    if len(targets) != len(segments) or any(
+            identity not in targets for identity, _ in segments):
+        return False
+    for identity, data in segments:
+        targets[identity].data[:] = data
+    return True
+
+
 def prepare_key(func: Function, args: Sequence, num_tiles: int,
                 memory: SimMemory) -> Optional[str]:
     """Content address of one prepare() invocation, or None when the
@@ -94,11 +108,8 @@ def prepare_key(func: Function, args: Sequence, num_tiles: int,
     Must be computed over the *initial* memory image — functional
     interpretation mutates ``memory`` in place.
     """
-    hasher = hashlib.sha256()
-    hasher.update(repr(("prepcache", PREPCACHE_SCHEMA_VERSION,
-                        FRONTEND_SCHEMA_VERSION,
-                        INTERPRETER_SCHEMA_VERSION,
-                        num_tiles)).encode("utf-8"))
+    hasher = hashlib.sha256(code_fingerprint())
+    hasher.update(repr(("prepcache", num_tiles)).encode("utf-8"))
     hasher.update(format_function(func).encode("utf-8"))
     for arg in args:
         if isinstance(arg, ArrayRef):
@@ -116,13 +127,12 @@ def prepare_key(func: Function, args: Sequence, num_tiles: int,
 
 
 class PrepareCache:
-    """Versioned, content-addressed store of prepare() artifacts.
-
-    The artifact type is opaque here (any picklable object); the runner
-    stores stripped :class:`~repro.harness.runner.Prepared` instances.
-    Every failure mode — unreadable entry, schema drift, digest
-    mismatch, disk-full store — degrades to a miss with a STATUS
-    warning; the cache never raises into a run.
+    """Content-addressed store of prepare() data: the traces and the
+    post-interpretation memory segments of a
+    :class:`~repro.harness.runner.Prepared`. Every failure mode —
+    unreadable, foreign-code or corrupt entry, disk-full store —
+    degrades to a miss with a STATUS warning; the cache never raises
+    into a run.
     """
 
     def __init__(self, root: Optional[str] = None,
@@ -143,63 +153,45 @@ class PrepareCache:
         return os.path.join(self.root, key + _META_SUFFIX)
 
     # -- load / store ------------------------------------------------------
-    @staticmethod
-    def _validate_entry(entry, key: Optional[str]) -> Optional[str]:
-        """Problem description for a decoded envelope, None when sound."""
-        if not isinstance(entry, dict):
-            return "not a cache entry envelope"
-        if entry.get("schema") != PREPCACHE_SCHEMA_VERSION:
-            return (f"schema {entry.get('schema')!r} != "
-                    f"{PREPCACHE_SCHEMA_VERSION} (stale)")
-        if key is not None and entry.get("key") != key:
-            return "entry key does not match its file name"
-        payload = entry.get("payload")
-        if not isinstance(payload, bytes):
-            return "payload missing"
-        if hashlib.sha256(payload).hexdigest() != entry.get(
-                "payload_digest"):
-            return "payload digest mismatch (corrupt)"
-        return None
-
     def _read_entry(self, key: str):
-        """(envelope, problem) for ``key``; (None, None) on a plain miss."""
+        """(data, payload digest, problem) for ``key``; all None on a
+        plain miss."""
         try:
             with open(self._entry_path(key), "rb") as handle:
-                entry = pickle.load(handle)
+                blob = handle.read()
+            entry = unpack(blob)
         except FileNotFoundError:
-            return None, None
-        except Exception as exc:
-            return None, f"unreadable entry ({exc})"
-        problem = self._validate_entry(entry, key)
-        if problem:
-            return None, problem
-        return entry, None
+            return None, None, None
+        except (OSError, ArtifactError) as exc:
+            return None, None, f"unreadable entry ({exc})"
+        if not isinstance(entry, tuple) or len(entry) != 2 \
+                or entry[0] != key:
+            return None, None, "entry key does not match its file name"
+        return entry[1], payload_digest(blob), None
 
-    def _discard(self, key: str, problem: str) -> None:
-        STATUS.warn(f"prepare cache: discarding {key[:12]}: {problem}; "
-                    f"falling back to a fresh compile")
+    def _remove(self, key: str) -> None:
         for path in (self._entry_path(key), self._meta_path(key)):
             try:
                 os.unlink(path)
             except OSError:
                 pass
 
-    def load(self, key: str) -> Optional[Tuple[object, str]]:
-        """(artifact, payload_digest) for ``key``; None on miss.
+    def _discard(self, key: str, problem: str) -> None:
+        STATUS.warn(f"prepare cache: discarding {key[:12]}: {problem}; "
+                    f"falling back to a fresh compile")
+        self._remove(key)
+
+    def load(self, key: str) -> Optional[Tuple[tuple, str]]:
+        """``((traces, segments), payload_digest)`` for ``key``; None on
+        miss. ``segments`` is a list of ``(segment_identity, data)``.
 
         A hit bumps the entry's mtime — the LRU recency signal GC
         evicts by."""
-        entry, problem = self._read_entry(key)
-        if entry is None:
+        data, digest, problem = self._read_entry(key)
+        if data is None:
             self.misses += 1
             if problem:
                 self._discard(key, problem)
-            return None
-        try:
-            artifact = pickle.loads(zlib.decompress(entry["payload"]))
-        except Exception as exc:
-            self.misses += 1
-            self._discard(key, f"payload does not decode ({exc})")
             return None
         self.hits += 1
         try:
@@ -207,38 +199,32 @@ class PrepareCache:
             os.utime(self._entry_path(key), (now, now))
         except OSError:
             pass
-        return artifact, entry["payload_digest"]
+        return data, digest
 
-    def store(self, key: str, artifact: object,
-              meta: Optional[Dict] = None) -> Optional[str]:
-        """Write ``artifact`` under ``key``; returns the payload digest,
-        or None when the store failed (never raises)."""
-        from ..ioutil import atomic_write_bytes, atomic_write_json
+    def store(self, key: str, prepared, meta: Optional[Dict] = None
+              ) -> Optional[str]:
+        """Write the traces and memory segments of ``prepared`` under
+        ``key``; returns the payload digest, or None when the store
+        failed (never raises)."""
         try:
-            payload = zlib.compress(pickle.dumps(artifact, protocol=4), 6)
+            blob = pack((key, (prepared.traces, [
+                (_segment_identity(segment), segment.data)
+                for segment in prepared.memory.segments])))
         except Exception as exc:
             STATUS.warn(f"prepare cache: cannot serialize artifact for "
                         f"{key[:12]} ({exc}); not cached")
             return None
-        digest = hashlib.sha256(payload).hexdigest()
-        envelope = {
-            "schema": PREPCACHE_SCHEMA_VERSION,
-            "key": key,
-            "payload": payload,
-            "payload_digest": digest,
-        }
+        digest = payload_digest(blob)
         sidecar = {
-            "schema": PREPCACHE_SCHEMA_VERSION,
             "key": key,
-            "payload_bytes": len(payload),
+            "payload_bytes": len(blob),
             "payload_digest": digest,
             "created_unix": time.time(),
         }
         sidecar.update(meta or {})
         try:
             os.makedirs(self.root, exist_ok=True)
-            atomic_write_bytes(self._entry_path(key),
-                               pickle.dumps(envelope, protocol=4))
+            atomic_write_bytes(self._entry_path(key), blob)
             atomic_write_json(self._meta_path(key), sidecar, indent=2)
         except OSError as exc:
             STATUS.warn(f"prepare cache: store failed for {key[:12]} "
@@ -247,16 +233,6 @@ class PrepareCache:
         self.stores += 1
         self.gc()
         return digest
-
-    def payload_bytes(self, key: str) -> Optional[bytes]:
-        """The stored compressed payload for ``key`` (the exact bytes a
-        sweep ships to its worker pool), or None when absent/unsound —
-        lets sweeps skip re-compressing a Prepared the cache already
-        holds."""
-        entry, _ = self._read_entry(key)
-        if entry is None:
-            return None
-        return entry["payload"]
 
     # -- inspection / maintenance ------------------------------------------
     def entries(self) -> List[Dict]:
@@ -290,7 +266,7 @@ class PrepareCache:
                 record["disk_bytes"] += os.stat(
                     self._meta_path(key)).st_size
             except (OSError, ValueError):
-                pass  # sidecar is advisory; the envelope is authoritative
+                pass  # sidecar is advisory; the entry is authoritative
             table.append(record)
         table.sort(key=lambda r: r["mtime"])
         return table
@@ -299,7 +275,7 @@ class PrepareCache:
         entries = self.entries()
         return {
             "root": self.root,
-            "schema": PREPCACHE_SCHEMA_VERSION,
+            "artifact": ARTIFACT_FORMAT,
             "entries": len(entries),
             "total_bytes": sum(e["disk_bytes"] for e in entries),
             "max_bytes": self.max_bytes,
@@ -318,12 +294,7 @@ class PrepareCache:
         for entry in entries:
             if total <= cap:
                 break
-            for path in (self._entry_path(entry["key"]),
-                         self._meta_path(entry["key"])):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            self._remove(entry["key"])
             total -= entry["disk_bytes"]
             removed += 1
             STATUS.verbose(f"prepare cache: gc evicted "
@@ -335,33 +306,23 @@ class PrepareCache:
         """Remove every entry; returns the number removed."""
         entries = self.entries()
         for entry in entries:
-            for path in (self._entry_path(entry["key"]),
-                         self._meta_path(entry["key"])):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            self._remove(entry["key"])
         return len(entries)
 
     def verify(self) -> List[Dict]:
-        """Deep-check every entry (envelope, schema, payload digest,
-        payload decode). Returns ``[{"key", "ok", "problem"}, ...]``;
-        nothing is discarded — that is ``gc``/``load``'s job."""
+        """Deep-check every entry (envelope, code fingerprint, payload
+        digest, payload decode). Returns ``[{"key", "ok", "problem"},
+        ...]``; nothing is discarded — that is ``gc``/``load``'s job."""
         results = []
         for record in self.entries():
             key = record["key"]
-            entry, problem = self._read_entry(key)
-            if entry is not None:
-                try:
-                    pickle.loads(zlib.decompress(entry["payload"]))
-                except Exception as exc:
-                    problem = f"payload does not decode ({exc})"
+            _, _, problem = self._read_entry(key)
             results.append({"key": key, "ok": problem is None,
                             "problem": problem or ""})
         return results
 
 
 __all__ = [
-    "DEFAULT_MAX_BYTES", "PREPCACHE_SCHEMA_VERSION", "PrepareCache",
-    "default_cache_root", "prepare_key",
+    "DEFAULT_MAX_BYTES", "PrepareCache", "default_cache_root",
+    "overlay_segments", "prepare_key",
 ]

@@ -41,7 +41,7 @@ from ..telemetry.profiler import ProfileReport
 from ..trace.interpreter import Interpreter
 from ..trace.memory import SimMemory
 from ..trace.tracefile import KernelTrace
-from .prepcache import PrepareCache, prepare_key
+from .prepcache import PrepareCache, overlay_segments, prepare_key
 from .status import STATUS
 from .systems import DAE_QUEUE_ENTRIES
 
@@ -66,33 +66,11 @@ class Prepared:
     traces: List[KernelTrace]
     memory: SimMemory
     #: prepare-cache provenance: the content address this artifact lives
-    #: under, whether this instance was replayed from the cache, and the
+    #: under, whether its traces were replayed from the cache, and the
     #: stored payload's SHA-256 (None/False when prepared uncached)
     cache_key: Optional[str] = None
     cache_hit: bool = False
     artifact_digest: Optional[str] = None
-
-
-def _overlay_memory(live: SimMemory, cached: SimMemory) -> bool:
-    """Copy the cached post-interpretation segment data into the live
-    SimMemory (matched by name/base/type/length), so a cache hit leaves
-    the caller's memory exactly as a fresh functional run would —
-    ``workload.verify()`` reads it. False when the layouts disagree
-    (a key collision or stale entry; the caller recompiles)."""
-    targets = {}
-    for segment in live.segments:
-        targets[(segment.name, segment.base, str(segment.element_type),
-                 len(segment.data))] = segment
-    if len(targets) != len(cached.segments):
-        return False
-    for segment in cached.segments:
-        target = targets.pop(
-            (segment.name, segment.base, str(segment.element_type),
-             len(segment.data)), None)
-        if target is None:
-            return False
-        target.data[:] = segment.data
-    return True
 
 
 def prepare(kernel: Kernel, args: Sequence, *, num_tiles: int = 1,
@@ -105,10 +83,11 @@ def prepare(kernel: Kernel, args: Sequence, *, num_tiles: int = 1,
     return bit-flipped values (deterministic under the injector's seed).
 
     With ``cache`` (a :class:`~repro.harness.prepcache.PrepareCache`),
-    the compiled function, DDG, traces and functional memory image are
-    replayed from disk when an entry matches the content-addressed key
-    (kernel IR + argument spec + initial memory image + ``num_tiles`` +
-    toolchain schema versions), and stored after a fresh run otherwise.
+    the traces and functional memory image are replayed from disk when
+    an entry matches the content-addressed key (code fingerprint +
+    kernel IR + argument spec + initial memory image + ``num_tiles``),
+    and stored after a fresh run otherwise. A hit keeps the freshly
+    compiled function and rebuilds its DDG.
     An attached ``injector`` always bypasses the cache: it corrupts
     functional loads and advances RNG/log state during interpretation,
     so replaying artifacts would diverge from an injected run.
@@ -128,15 +107,13 @@ def prepare(kernel: Kernel, args: Sequence, *, num_tiles: int = 1,
             if key is not None:
                 hit = cache.load(key)
                 if hit is not None:
-                    stored, digest = hit
-                    if (isinstance(stored, Prepared)
-                            and len(stored.traces) == num_tiles
-                            and _overlay_memory(mem, stored.memory)):
+                    (traces, segments), digest = hit
+                    if (len(traces) == num_tiles
+                            and overlay_segments(mem, segments)):
                         STATUS.info(
                             f"prepare cache: hit {key[:12]} "
                             f"({func.name}, {num_tiles} tile(s))")
-                        return Prepared(stored.function, stored.ddg,
-                                        stored.traces, mem,
+                        return Prepared(func, build_ddg(func), traces, mem,
                                         cache_key=key, cache_hit=True,
                                         artifact_digest=digest)
                     cache._discard(key, "artifact does not match the "
@@ -153,8 +130,6 @@ def prepare(kernel: Kernel, args: Sequence, *, num_tiles: int = 1,
             mem.injector = None
     prepared = Prepared(func, build_ddg(func), traces, mem)
     if cache is not None and key is not None:
-        # stored before the provenance fields are set, so the payload
-        # digest is a pure function of the artifact content
         digest = cache.store(key, prepared, meta={
             "kernel": func.name, "num_tiles": num_tiles,
             "traces": len(traces)})

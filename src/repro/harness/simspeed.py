@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
+from ..ioutil import pack
 from ..sim.accelerator.library import sgemm_design
 from ..sim.accelerator.perf_model import GenericPerformanceModel
 from ..sim.config import CoreConfig
@@ -224,14 +225,11 @@ def measure_prepare_cache(build_workload, *, num_tiles: int = 1,
 
 def trace_footprint_bytes(prepared: Prepared) -> Dict[str, int]:
     """Approximate on-disk trace sizes (§VI-B storage discussion)."""
-    import pickle
-    import zlib
     total = 0
     blocks = 0
     addresses = 0
     for trace in prepared.traces:
-        payload = zlib.compress(pickle.dumps(trace, protocol=4), 6)
-        total += len(payload)
+        total += len(pack(trace))
         blocks += len(trace.block_trace)
         addresses += trace.num_memory_accesses
     return {"compressed_bytes": total, "dbbs": blocks,

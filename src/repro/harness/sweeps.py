@@ -16,21 +16,23 @@ Sweeps are embarrassingly parallel — every point re-times the same
 prepared traces under an independent system — so each sweep entry point
 takes ``jobs``: with ``jobs > 1`` the points run on a process pool. The
 :class:`Prepared` workload is shipped to each worker exactly once
-(pickled + zlib, via the pool initializer), a point is a pure-data spec
-the worker can rebuild the system from, and failures inside a worker
-land in the same non-``ok`` SweepPoint records as serial sweeps. Point
+(packed by :mod:`repro.ioutil`, via the pool initializer), a point is a
+pure-data spec the worker can rebuild the system from, and failures
+inside a worker land in the same non-``ok`` SweepPoint records as
+serial sweeps. Point
 order — and therefore every stat — is identical to a serial run (see
 docs/performance.md). ``on_error="raise"`` forces serial execution so
 the first failure propagates with its traceback.
 
 Sweeps are also crash-recoverable (see ``docs/resilience.md``): with
 ``journal_path`` every completed point is appended to a JSONL journal
-(its index, a parameter fingerprint, the outcome, a digest of the
-canonical report, and the pickled stats), and ``resume=True`` skips
-journaled points on a re-run, reconstructing them bit-identically. A
-worker that dies *hard* — SIGKILL, OOM — no longer hangs the sweep: the
-broken pool is detected, unfinished points are retried on a fresh pool
-with backoff, and a point whose retries are exhausted is recorded as
+(its index, a parameter fingerprint, a workload digest, the outcome, a
+digest of the canonical report, and the packed stats), and
+``resume=True`` skips points journaled for the same workload on a
+re-run, reconstructing them bit-identically. A worker that dies *hard*
+— SIGKILL, OOM — no longer hangs the sweep: the broken pool is
+detected, unfinished points are retried on a fresh pool with backoff,
+and a point whose retries are exhausted is recorded as
 ``outcome="worker_died"``.
 """
 
@@ -45,13 +47,14 @@ import os
 import pickle
 import threading
 import time
-import zlib
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..ioutil import canonical_digest, code_fingerprint, pack, unpack
+from ..ir import format_function
 from ..resilience.faults import FaultInjector
 from ..sim.config import ConfigError, CoreConfig, MemoryHierarchyConfig
 from ..sim.errors import SimulationError
@@ -151,36 +154,48 @@ def _stats_digest(stats: Optional[SystemStats]) -> Optional[str]:
     if stats is None:
         return None
     from ..telemetry import stats_to_dict
-    canonical = json.dumps(stats_to_dict(stats), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_digest(stats_to_dict(stats))
+
+
+def workload_digest(prepared) -> str:
+    """SHA-256 over the code fingerprint, the formatted IR and the
+    traces a sweep re-times: journal entries restore only onto the
+    workload that produced them. A campaign payload digests its golden
+    Prepared."""
+    if not isinstance(prepared, Prepared):
+        prepared = prepared.prepared
+    hasher = hashlib.sha256(code_fingerprint())
+    hasher.update(format_function(prepared.function).encode("utf-8"))
+    hasher.update(pickle.dumps(prepared.traces, protocol=4))
+    return hasher.hexdigest()
 
 
 class SweepJournal:
     """Append-only JSONL record of completed sweep points.
 
     One line per completed point: journal version, point index, the
-    parameter fingerprint, outcome, error, a digest of the canonical
-    stats report, and the pickled stats themselves (zlib + base64) — so
-    a resumed sweep reconstructs skipped points *bit-identically*, not
-    just approximately. Lines are flushed and fsynced as each point
-    completes; a torn final line from a crash is ignored on load.
-    ``worker_died`` points are never journaled, so a resume retries
-    them.
+    parameter fingerprint, the workload digest, outcome, error, a digest
+    of the canonical stats report, and the stats themselves (packed by
+    :mod:`repro.ioutil`, base64) — so a resumed sweep reconstructs
+    skipped points *bit-identically*, not just approximately. Lines are
+    flushed and fsynced as each point completes; a torn final line from
+    a crash is ignored on load. ``worker_died`` points are never
+    journaled, so a resume retries them.
     """
 
     def __init__(self, path: str):
         self.path = path
 
     def append(self, index: int, parameters: Dict[str, object],
-               point: SweepPoint) -> None:
+               point: SweepPoint, workload: str) -> None:
         stats_blob = None
         if point.stats is not None:
-            stats_blob = base64.b64encode(zlib.compress(
-                pickle.dumps(point.stats, protocol=4), 6)).decode("ascii")
+            stats_blob = base64.b64encode(pack(point.stats)).decode("ascii")
         line = json.dumps({
             "version": SWEEP_JOURNAL_VERSION,
             "index": index,
             "parameters": _params_key(parameters),
+            "workload": workload,
             "outcome": point.outcome,
             "error": point.error,
             "digest": _stats_digest(point.stats),
@@ -191,10 +206,11 @@ class SweepJournal:
             handle.flush()
             os.fsync(handle.fileno())
 
-    def load(self) -> Dict[int, dict]:
-        """Journaled entries by point index (last write wins); missing
-        file means an empty journal, and a torn tail line ends the
-        scan — everything after it simply re-runs."""
+    def load(self, workload: Optional[str] = None) -> Dict[int, dict]:
+        """Journaled entries by point index (last write wins), only
+        those of ``workload`` when given; missing file means an empty
+        journal, and a torn tail line ends the scan — everything after
+        it simply re-runs."""
         entries: Dict[int, dict] = {}
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
@@ -211,7 +227,9 @@ class SweepJournal:
                 break
             if (not isinstance(document, dict)
                     or document.get("version") != SWEEP_JOURNAL_VERSION
-                    or not isinstance(document.get("index"), int)):
+                    or not isinstance(document.get("index"), int)
+                    or (workload is not None
+                        and document.get("workload") != workload)):
                 continue
             entries[document["index"]] = document
         return entries
@@ -225,8 +243,7 @@ class SweepJournal:
         stats = None
         if entry.get("stats") is not None:
             try:
-                stats = pickle.loads(zlib.decompress(
-                    base64.b64decode(entry["stats"])))
+                stats = unpack(base64.b64decode(entry["stats"]))
             except Exception as exc:
                 STATUS.warn(f"sweep journal: point "
                             f"{entry.get('index')} stats blob does not "
@@ -271,7 +288,7 @@ _WORKER_HB_EVERY: Optional[int] = None
 def _worker_init(payload: bytes, hb_queue=None,
                  hb_every: Optional[int] = None) -> None:
     global _WORKER_PREPARED, _WORKER_HB_QUEUE, _WORKER_HB_EVERY
-    _WORKER_PREPARED = pickle.loads(zlib.decompress(payload))
+    _WORKER_PREPARED = unpack(payload)
     _WORKER_HB_QUEUE = hb_queue
     _WORKER_HB_EVERY = hb_every
 
@@ -427,26 +444,25 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
                    resume: bool = False,
                    point_retries: int = 2,
                    retry_backoff: float = 0.0,
-                   heartbeat_every: Optional[int] = None,
-                   prep_cache=None) -> SweepResult:
+                   heartbeat_every: Optional[int] = None) -> SweepResult:
     """Run every (parameters, spec) task; in order, serially or on a pool.
 
-    Workers receive the Prepared workload once (compressed pickle via the
-    pool initializer); when ``prep_cache`` holds the artifact under
-    ``prepared.cache_key``, the stored payload is shipped as-is instead
-    of re-compressing. Workers then stream pure-data specs. Results are assembled
-    in submission order, so the SweepResult is bit-identical to a serial
-    sweep — each point's simulation is an isolated deterministic run
-    either way. ``on_error="raise"`` executes serially so the first
-    failure propagates with a usable traceback.
+    Workers receive the Prepared workload once (packed by
+    :mod:`repro.ioutil`, via the pool initializer), then stream pure-data
+    specs. Results are assembled in submission order, so the SweepResult
+    is bit-identical to a serial sweep — each point's simulation is an
+    isolated deterministic run either way. ``on_error="raise"``
+    executes serially so the first failure propagates with a usable
+    traceback.
 
     With ``journal_path``, completed points are journaled as they finish;
     ``resume=True`` additionally skips points the journal already has
-    (matched by index + parameter fingerprint) and restores their results
-    bit-identically. Hard worker deaths are retried ``point_retries``
-    times with exponential ``retry_backoff`` before a point is recorded
-    as ``worker_died`` (parallel mode; a serial worker death kills the
-    process itself, which is exactly what the journal recovers from).
+    (matched by index + parameter fingerprint + workload digest) and
+    restores their results bit-identically. Hard worker deaths are
+    retried ``point_retries`` times with exponential ``retry_backoff``
+    before a point is recorded as ``worker_died`` (parallel mode; a
+    serial worker death kills the process itself, which is exactly what
+    the journal recovers from).
 
     With ``heartbeat_every`` (a cycle stride) and a ``journal_path``,
     running points stream heartbeats into a ``<journal>.live.json``
@@ -464,7 +480,8 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
         live = SweepLiveStatus(live_path_for(journal_path), len(tasks))
     points: List[Optional[SweepPoint]] = [None] * len(tasks)
     todo: List[Tuple[int, Dict, Dict]] = []
-    entries = journal.load() if (journal is not None and resume) else {}
+    workload = workload_digest(prepared) if journal is not None else None
+    entries = journal.load(workload) if resume else {}
     for index, (parameters, spec) in enumerate(tasks):
         entry = entries.get(index)
         if entry is not None and entry.get("parameters") == \
@@ -478,7 +495,7 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
     def collected(index: int, parameters: Dict, point: SweepPoint) -> None:
         points[index] = point
         if journal is not None and point.outcome != "worker_died":
-            journal.append(index, parameters, point)
+            journal.append(index, parameters, point, workload)
         if live is not None:
             live.point_done(index, point)
         STATUS.verbose(f"sweep point {index}: {point.outcome}"
@@ -510,17 +527,7 @@ def _execute_sweep(prepared: Prepared, tasks: List[Tuple[Dict, Dict]],
             collected(index, parameters,
                       _run_point(parameters, run, on_error))
     elif todo:
-        payload = None
-        if prep_cache is not None and getattr(prepared, "cache_key", None):
-            # ship the cache's stored payload (same format: zlib of
-            # pickled Prepared) instead of paying compression again
-            payload = prep_cache.payload_bytes(prepared.cache_key)
-            if payload is not None:
-                STATUS.verbose(f"sweep: shipping cached prepare payload "
-                               f"{prepared.cache_key[:12]} "
-                               f"({len(payload)} bytes) to workers")
-        if payload is None:
-            payload = zlib.compress(pickle.dumps(prepared, protocol=4), 6)
+        payload = pack(prepared)
         hb_queue = None
         manager = None
         drain = None
@@ -558,8 +565,7 @@ def sweep_core(prepared: Prepared, base: CoreConfig,
                resume: bool = False,
                point_retries: int = 2,
                retry_backoff: float = 0.0,
-               heartbeat_every: Optional[int] = None,
-               prep_cache=None) -> SweepResult:
+               heartbeat_every: Optional[int] = None) -> SweepResult:
     """Simulate ``prepared`` under every combination of core-config
     overrides in ``grid`` (a dict of CoreConfig field -> values).
 
@@ -603,8 +609,7 @@ def sweep_core(prepared: Prepared, base: CoreConfig,
                           journal_path=journal_path, resume=resume,
                           point_retries=point_retries,
                           retry_backoff=retry_backoff,
-                          heartbeat_every=heartbeat_every,
-                          prep_cache=prep_cache)
+                          heartbeat_every=heartbeat_every)
 
 
 def sweep_hierarchy(prepared: Prepared, core: CoreConfig,
@@ -618,8 +623,7 @@ def sweep_hierarchy(prepared: Prepared, core: CoreConfig,
                     resume: bool = False,
                     point_retries: int = 2,
                     retry_backoff: float = 0.0,
-                    heartbeat_every: Optional[int] = None,
-                    prep_cache=None) -> SweepResult:
+                    heartbeat_every: Optional[int] = None) -> SweepResult:
     """Simulate ``prepared`` under each named memory-hierarchy config."""
     tasks = [({"hierarchy": name},
               {"core": core, "num_tiles": num_tiles,
@@ -630,8 +634,7 @@ def sweep_hierarchy(prepared: Prepared, core: CoreConfig,
                           journal_path=journal_path, resume=resume,
                           point_retries=point_retries,
                           retry_backoff=retry_backoff,
-                          heartbeat_every=heartbeat_every,
-                          prep_cache=prep_cache)
+                          heartbeat_every=heartbeat_every)
 
 
 def sweep_runs(prepared: Prepared, runs: Dict[str, Dict], *,
@@ -650,11 +653,12 @@ def sweep_runs(prepared: Prepared, runs: Dict[str, Dict], *,
     optional ``"plan"`` key holding a :class:`FaultPlan` for that run.
     Failing runs are recorded (deadlock/timeout/fault/...) and the sweep
     continues — the acceptance scenario for resilient exploration.
+    ``prep_cache`` is accepted for existing callers and unused: workers
+    receive ``prepared`` itself.
     """
     tasks = [({"run": name}, dict(kwargs)) for name, kwargs in runs.items()]
     return _execute_sweep(prepared, tasks, on_error, jobs,
                           journal_path=journal_path, resume=resume,
                           point_retries=point_retries,
                           retry_backoff=retry_backoff,
-                          heartbeat_every=heartbeat_every,
-                          prep_cache=prep_cache)
+                          heartbeat_every=heartbeat_every)

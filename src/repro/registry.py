@@ -19,7 +19,6 @@ simulation speed) varies across machines and is only gated behind
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -29,7 +28,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .ioutil import atomic_write_json
+from .ioutil import atomic_write_json, canonical_digest, code_fingerprint
 
 __all__ = [
     "HISTORY_SCHEMA_VERSION", "MANIFEST_SCHEMA_VERSION", "RunManifest",
@@ -55,8 +54,7 @@ def config_digest(document: dict) -> str:
     """Stable digest of a configuration document: the first 16 hex of
     SHA-256 over its canonical JSON. Two runs with equal digests ran
     the same configuration (same workload inputs aside)."""
-    canonical = json.dumps(document, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return canonical_digest(document, default=repr)[:16]
 
 
 @dataclass
@@ -130,7 +128,8 @@ class RunManifest:
                 artifacts: Optional[Dict[str, str]] = None,
                 extra: Optional[Dict[str, object]] = None) -> "RunManifest":
         """Build a manifest from live run objects: environment fields
-        are captured here, headline stats lifted off ``stats``."""
+        and the code fingerprint are captured here, headline stats
+        lifted off ``stats``."""
         manifest = cls(
             run_id=run_id, workload=workload, status=status,
             config_digest=config_digest(config) if config else "",
@@ -139,7 +138,9 @@ class RunManifest:
             host=socket.gethostname(), platform=platform.platform(),
             python=platform.python_version(), mips=mips,
             schema_versions=dict(schema_versions or {}),
-            artifacts=dict(artifacts or {}), extra=dict(extra or {}))
+            artifacts=dict(artifacts or {}),
+            extra={"code_fingerprint": code_fingerprint().hex()[:16],
+                   **(extra or {})})
         if stats is not None:
             manifest.cycles = stats.cycles
             manifest.instructions = stats.instructions

@@ -37,11 +37,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-import zlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..ioutil import canonical_digest, pack, unpack
 from ..sim.config import ConfigError
 from ..sim.errors import SimulationError
 from ..telemetry.metrics import wilson_interval
@@ -95,11 +94,6 @@ def memory_digests(memory) -> Dict[str, str]:
         digests[key] = hashlib.sha256(
             segment.data.tobytes()).hexdigest()
     return digests
-
-
-def _combined_digest(digests: Dict[str, str]) -> str:
-    canonical = json.dumps(sorted(digests.items()))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -164,7 +158,7 @@ class CampaignPayload:
     sweep ships its ``Prepared`` through).
 
     ``blob`` is the *pristine* workload — ``(function, args, memory)``
-    pickled before the golden run mutated the memory — so a mem-site
+    packed before the golden run mutated the memory — so a mem-site
     trial can re-interpret from clean state with its injector attached.
     Timing-site trials (msg/dram/accel) cannot corrupt functional data
     and reuse the golden ``prepared`` directly: re-timing cached traces
@@ -221,8 +215,7 @@ def execute_trial(payload: CampaignPayload, plan: FaultPlan,
             # trial re-interprets the pristine workload with the
             # injector attached (the one path that must not reuse the
             # golden traces)
-            function, args, memory = pickle.loads(
-                zlib.decompress(payload.blob))
+            function, args, memory = unpack(payload.blob)
             prepared = prepare(function, args,
                                num_tiles=cfg["num_tiles"],
                                memory=memory, injector=injector)
@@ -466,7 +459,7 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
     mem = memory if memory is not None else _infer_memory(args)
     # snapshot the pristine workload BEFORE the golden run mutates the
     # memory — mem-site trials re-interpret from this blob
-    blob = zlib.compress(pickle.dumps((func, args, mem), protocol=4), 6)
+    blob = pack((func, args, mem))
 
     from ..harness.status import STATUS
     try:
@@ -485,7 +478,8 @@ def run_campaign(kernel, args, *, plan: FaultPlan, trials: int,
             from exc
     digests = memory_digests(mem)
     golden = GoldenReference(digests=digests,
-                             digest=_combined_digest(digests),
+                             digest=canonical_digest(sorted(
+                                 digests.items())),
                              cycles=golden_stats.cycles,
                              instructions=golden_stats.instructions)
     STATUS.info(f"campaign golden run: {golden.cycles} cycles, "

@@ -30,10 +30,11 @@ Contracts (same family as the tracer, see ``docs/observability.md``):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from typing import Callable, List, Optional
+
+from ..ioutil import canonical_digest
 
 __all__ = [
     "HEARTBEAT_SCHEMA_VERSION", "HeartbeatEmitter", "heartbeat_digest",
@@ -259,9 +260,7 @@ def heartbeat_key(heartbeat: dict) -> dict:
 
 def heartbeat_digest(heartbeats: List[dict]) -> str:
     """SHA-256 over the canonical cycle-stamped views of a stream."""
-    canonical = json.dumps([heartbeat_key(h) for h in heartbeats],
-                           sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_digest([heartbeat_key(h) for h in heartbeats])
 
 
 def validate_heartbeat(document: dict) -> int:

@@ -6,16 +6,12 @@ simulator (paper §II-A), plus trace (de)serialization.
 """
 
 from .accel_ops import apply_accelerator
-from .interpreter import (
-    INTERPRETER_SCHEMA_VERSION, Interpreter, InterpreterError,
-    StepLimitExceeded,
-)
+from .interpreter import Interpreter, InterpreterError, StepLimitExceeded
 from .memory import ArrayRef, MemoryError_, SimMemory
 from .tracefile import AccelInvocation, KernelTrace, load_traces, save_traces
 
 __all__ = [
     "apply_accelerator",
-    "INTERPRETER_SCHEMA_VERSION",
     "Interpreter", "InterpreterError", "StepLimitExceeded",
     "ArrayRef", "MemoryError_", "SimMemory",
     "AccelInvocation", "KernelTrace", "load_traces", "save_traces",

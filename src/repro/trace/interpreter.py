@@ -30,13 +30,6 @@ from .memory import ArrayRef, SimMemory
 from .tracefile import AccelInvocation, KernelTrace
 
 
-#: bump when functional interpretation changes the traces (or memory
-#: image) produced for the same IR — new intrinsic semantics, different
-#: SPMD interleaving, changed trace recording — so the prepare cache
-#: never replays artifacts an older interpreter generated
-INTERPRETER_SCHEMA_VERSION = 1
-
-
 class InterpreterError(Exception):
     pass
 

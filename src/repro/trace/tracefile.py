@@ -11,17 +11,18 @@ The Dynamic Trace Generator (paper §II-A) emits, per kernel execution:
   during simulation (paper §II-B).
 
 Traces are plain data so they can be saved/loaded (the paper stores them as
-files, noting sizes in §VI-B); we serialize with :mod:`pickle` compressed
-via :mod:`zlib`.
+files, noting sizes in §VI-B); a trace file is the artifact envelope of
+:mod:`repro.ioutil`, so a file written by different simulator code is
+refused instead of replayed.
 """
 
 from __future__ import annotations
 
-import pickle
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
+
+from ..ioutil import pack, unpack
 
 
 @dataclass
@@ -76,15 +77,16 @@ class KernelTrace:
 def save_traces(traces: List[KernelTrace],
                 path: Union[str, Path]) -> int:
     """Serialize traces to ``path``; returns the compressed size in bytes."""
-    payload = zlib.compress(pickle.dumps(traces, protocol=4), level=6)
-    path = Path(path)
-    path.write_bytes(payload)
-    return len(payload)
+    blob = pack(traces)
+    Path(path).write_bytes(blob)
+    return len(blob)
 
 
 def load_traces(path: Union[str, Path]) -> List[KernelTrace]:
-    payload = Path(path).read_bytes()
-    traces = pickle.loads(zlib.decompress(payload))
+    """Read traces written by :func:`save_traces`; raises ValueError
+    (an :class:`~repro.ioutil.ArtifactError` when the file is not an
+    artifact of this simulator code)."""
+    traces = unpack(Path(path).read_bytes())
     if not isinstance(traces, list) or not all(
             isinstance(t, KernelTrace) for t in traces):
         raise ValueError(f"{path} does not contain kernel traces")

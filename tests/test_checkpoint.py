@@ -19,9 +19,10 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import ioutil
 from repro.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION, CheckpointSink, _HEADER, _MAGIC,
-    find_injector, load_checkpoint, resume_simulation, save_checkpoint,
+    CheckpointSink, find_injector, load_checkpoint, resume_simulation,
+    save_checkpoint,
 )
 from repro.harness import (
     DEFAULT_MAX_CYCLES, build_dae, build_system, dae_hierarchy,
@@ -202,12 +203,23 @@ class TestCheckpointFormat:
 
     def test_schema_version_bump_is_structured(self, snapshot, tmp_path):
         blob = open(snapshot, "rb").read()
-        magic, version, digest, length = _HEADER.unpack_from(blob)
+        header = list(ioutil._HEADER.unpack_from(blob))
+        header[1] += 1
         bumped = tmp_path / "bumped.bin"
-        bumped.write_bytes(_HEADER.pack(magic, version + 1, digest, length)
-                           + blob[_HEADER.size:])
-        with pytest.raises(CheckpointError, match="schema version"):
+        bumped.write_bytes(ioutil._HEADER.pack(*header)
+                           + blob[ioutil._HEADER.size:])
+        with pytest.raises(CheckpointError, match="artifact format"):
             load_checkpoint(str(bumped))
+
+    def test_checkpoint_from_other_code_is_refused(self, tmp_path,
+                                                   monkeypatch):
+        path = str(tmp_path / "other.bin")
+        with monkeypatch.context() as patch:
+            patch.setattr(ioutil, "_FINGERPRINT", b"\x00" * 32)
+            save_checkpoint(_saxpy_system(), path, cycle=0)
+        with pytest.raises(CheckpointError,
+                           match="written by different simulator code"):
+            load_checkpoint(path)
 
     def test_truncated_payload_is_structured(self, snapshot, tmp_path):
         blob = open(snapshot, "rb").read()
@@ -230,7 +242,7 @@ class TestCheckpointFormat:
 
     def test_corrupt_payload_is_structured(self, snapshot, tmp_path):
         blob = bytearray(open(snapshot, "rb").read())
-        blob[_HEADER.size + 5] ^= 0xFF
+        blob[ioutil._HEADER.size + 5] ^= 0xFF
         corrupt = tmp_path / "corrupt.bin"
         corrupt.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="corrupt"):
@@ -242,10 +254,12 @@ class TestCheckpointFormat:
 
     def test_header_constants(self, snapshot):
         blob = open(snapshot, "rb").read()
-        magic, version, _, length = _HEADER.unpack_from(blob)
-        assert magic == _MAGIC == b"MSIMCKPT"
-        assert version == CHECKPOINT_SCHEMA_VERSION
-        assert length == len(blob) - _HEADER.size
+        magic, version, fingerprint, _, length = \
+            ioutil._HEADER.unpack_from(blob)
+        assert magic == ioutil._MAGIC == b"MSIMARTF"
+        assert version == ioutil.ARTIFACT_FORMAT
+        assert fingerprint == ioutil.code_fingerprint()
+        assert length == len(blob) - ioutil._HEADER.size
 
     def test_profiled_run_refuses_to_checkpoint(self, tmp_path):
         with pytest.raises(CheckpointError, match="SelfProfiler"):
@@ -390,6 +404,36 @@ class TestSweepJournal:
         assert SweepJournal.restore_point({"rob_size": 16}, entry) is None
         entry["stats"] = "!!not base64!!"
         assert SweepJournal.restore_point({"rob_size": 16}, entry) is None
+
+    def test_resume_restores_only_the_journaled_workload(self, tmp_path,
+                                                         monkeypatch):
+        """Index and parameters alone do not identify a point: resuming
+        one workload's journal on another must re-run every point."""
+        journal = str(tmp_path / "sweep.jsonl")
+        grid = {"issue_width": [2, 4]}
+
+        def sweep(name, **kwargs):
+            w = build_parboil(name, **SMALL_SIZES[name])
+            prepared = prepare(w.kernel, w.args, memory=w.memory)
+            return _fingerprints(sweep_core(
+                prepared, BASE, grid, hierarchy_factory=dae_hierarchy,
+                **kwargs))
+
+        histo = sweep("histo", journal_path=journal)
+        sad = sweep("sad")
+        assert sad != histo
+        assert sweep("sad", journal_path=journal, resume=True) == sad
+        with open(journal) as handle:
+            assert len(handle.read().splitlines()) == 4
+        # each workload still restores its own points without re-running
+        calls = []
+        real = sweeps._execute_spec
+        monkeypatch.setattr(
+            sweeps, "_execute_spec",
+            lambda prep, spec: calls.append(1) or real(prep, spec))
+        assert sweep("histo", journal_path=journal, resume=True) == histo
+        assert sweep("sad", journal_path=journal, resume=True) == sad
+        assert calls == []
 
     def test_resume_without_journal_rejected(self, prepared):
         with pytest.raises(ValueError, match="journal_path"):

@@ -29,6 +29,7 @@ from repro.harness.watch import (
     load_live,
 )
 from repro.ir import F64
+from repro.ioutil import ARTIFACT_FORMAT, code_fingerprint
 from repro.registry import (
     HISTORY_SCHEMA_VERSION, RunManifest, RunRegistry, append_history,
     config_digest, find_baseline, history_check, history_entry,
@@ -466,6 +467,11 @@ class TestCLI:
         registry = RunRegistry(str(registry_dir))
         manifest = registry.latest()
         assert manifest.workload == "histo" and manifest.status == "ok"
+        # provenance: the artifact format and the code that ran
+        assert manifest.schema_versions["artifact"] == ARTIFACT_FORMAT
+        assert "checkpoint" not in manifest.schema_versions
+        assert manifest.extra["code_fingerprint"] \
+            == code_fingerprint().hex()[:16]
         # artifacts were stamped with the registered id
         document = json.loads(stats_json.read_text())
         assert document["run_id"] == manifest.run_id

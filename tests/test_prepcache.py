@@ -1,11 +1,12 @@
 """Content-addressed prepare cache: keys, hits, robustness, CLI.
 
 The contract under test (docs/performance.md): a cache hit replays the
-compiled function, DDG, traces and functional memory image
-bit-identically — same cycle counts as a cold prepare on all Parboil
-kernels — and every cache failure mode (corrupt entry, stale schema,
-racing writers, full disk) degrades to a fresh compile, never into a
-wrong or crashed run.
+traces and functional memory image bit-identically and rebuilds the DDG
+from the live compiled function — same cycle counts as a cold prepare
+on all Parboil kernels, and the same as a fresh prepare under whatever
+code runs now — and every cache failure mode (corrupt entry, entry from
+other code, racing writers, full disk) degrades to a fresh compile,
+never into a wrong or crashed run.
 """
 
 import json
@@ -15,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import ioutil
 from repro.harness import (
-    PREPCACHE_SCHEMA_VERSION, PrepareCache, dae_hierarchy, ooo_core,
-    prepare, prepare_key, simulate,
+    PrepareCache, dae_hierarchy, ooo_core, prepare, prepare_key, simulate,
 )
+from repro.harness import runner
 from repro.frontend import compile_kernel
 from repro.resilience import FaultInjector, FaultPlan
 from repro.workloads import build_parboil
@@ -71,12 +73,11 @@ class TestPrepareKey:
         # the bytes interpretation will actually read
         assert prepare_key(func, w1.args, 1, w2.memory) is None
 
-    def test_schema_version_changes_key(self, monkeypatch):
+    def test_code_fingerprint_changes_key(self, monkeypatch):
         w = build_parboil("histo")
         func = compile_kernel(w.kernel)
         before = prepare_key(func, w.args, 1, w.memory)
-        monkeypatch.setattr("repro.harness.prepcache"
-                            ".INTERPRETER_SCHEMA_VERSION", 999)
+        monkeypatch.setattr(ioutil, "_FINGERPRINT", b"\x00" * 32)
         assert prepare_key(func, w.args, 1, w.memory) != before
 
 
@@ -112,15 +113,41 @@ class TestCacheHit:
         assert cache.bypasses == 1
         assert cache.stats()["entries"] == 0
 
-    def test_payload_bytes_round_trips(self, tmp_path):
-        import zlib
+    def test_hit_rebuilds_ddg_with_live_code(self, tmp_path, monkeypatch):
+        """An entry stores data, not code: after the DDG builder changes,
+        a hit must simulate like a fresh prepare under the new builder,
+        not replay the DDG the entry was filled with."""
+        cache = _cache(tmp_path)
+        _cold_prepare(cache, "sgemm")
+        real = runner.build_ddg
+
+        def without_operand_edges(func):
+            ddg = real(func)
+            for node in ddg.nodes:
+                node.operand_iids = ()
+            return ddg
+
+        monkeypatch.setattr(runner, "build_ddg", without_operand_edges)
+        fresh_w = build_parboil("sgemm")
+        fresh = prepare(fresh_w.kernel, fresh_w.args, memory=fresh_w.memory)
+        w = build_parboil("sgemm")
+        hit = prepare(w.kernel, w.args, memory=w.memory, cache=cache)
+        assert hit.cache_hit
+        cycles = [simulate(p.function, [], prepared=p, core=ooo_core(),
+                           hierarchy=dae_hierarchy()).cycles
+                  for p in (fresh, hit)]
+        assert cycles[0] == cycles[1]
+        assert cycles[0] != BASELINE["kernels"]["sgemm"]["cycles"]
+
+    def test_entry_holds_data_not_code(self, tmp_path):
         cache = _cache(tmp_path)
         _, cold = _cold_prepare(cache)
-        payload = cache.payload_bytes(cold.cache_key)
-        shipped = pickle.loads(zlib.decompress(payload))
-        assert shipped.function.name == cold.function.name
-        assert len(shipped.traces) == len(cold.traces)
-        assert cache.payload_bytes("0" * 64) is None
+        (traces, segments), digest = cache.load(cold.cache_key)
+        assert digest == cold.artifact_digest
+        assert [t.block_trace for t in traces] \
+            == [t.block_trace for t in cold.traces]
+        assert [identity[0] for identity, _ in segments] \
+            == [segment.name for segment in cold.memory.segments]
 
 
 # -- bit-identity (the acceptance contract) ----------------------------------
@@ -169,29 +196,45 @@ class TestRobustness:
         cache = _cache(tmp_path)
         _, cold = _cold_prepare(cache)
         path = Path(cache._entry_path(cold.cache_key))
-        envelope = pickle.loads(path.read_bytes())
-        envelope["payload"] = envelope["payload"][:-4] + b"\x00\x00\x00\x00"
-        path.write_bytes(pickle.dumps(envelope, protocol=4))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-4] + b"\x00\x00\x00\x00")
         assert cache.load(cold.cache_key) is None
         assert "digest mismatch" in capsys.readouterr().err
         assert not path.exists()
 
     def test_stale_schema_version_invalidates(self, tmp_path, capsys):
+        """An entry whose envelope format or code fingerprint differs
+        from this build is discarded, never replayed."""
+        cache = _cache(tmp_path)
+        for field, value, problem in (
+                (1, ioutil.ARTIFACT_FORMAT + 1, "format"),
+                (2, b"\x00" * 32, "different simulator code")):
+            _, cold = _cold_prepare(cache)
+            path = Path(cache._entry_path(cold.cache_key))
+            blob = path.read_bytes()
+            header = list(ioutil._HEADER.unpack_from(blob))
+            header[field] = value
+            path.write_bytes(ioutil._HEADER.pack(*header)
+                             + blob[ioutil._HEADER.size:])
+            assert cache.load(cold.cache_key) is None
+            assert problem in capsys.readouterr().err
+            assert not path.exists()
+
+    def test_entry_under_wrong_key_discards(self, tmp_path, capsys):
         cache = _cache(tmp_path)
         _, cold = _cold_prepare(cache)
-        path = Path(cache._entry_path(cold.cache_key))
-        envelope = pickle.loads(path.read_bytes())
-        envelope["schema"] = PREPCACHE_SCHEMA_VERSION + 1
-        path.write_bytes(pickle.dumps(envelope, protocol=4))
-        assert cache.load(cold.cache_key) is None
-        assert "stale" in capsys.readouterr().err
-        assert not path.exists()
+        other = "f" * 64
+        Path(cache._entry_path(other)).write_bytes(
+            Path(cache._entry_path(cold.cache_key)).read_bytes())
+        assert cache.load(other) is None
+        assert "does not match its file name" in capsys.readouterr().err
 
     def test_concurrent_writers_last_wins(self, tmp_path):
         cache = _cache(tmp_path)
         _, cold = _cold_prepare(cache)
         key = cold.cache_key
-        # strip provenance so every writer stores identical content
+        # independent copies of one artifact: every writer stores the
+        # same content from its own objects
         payloads = [pickle.loads(pickle.dumps(cold)) for _ in range(8)]
         threads = [threading.Thread(target=cache.store, args=(key, p))
                    for p in payloads]
@@ -202,8 +245,8 @@ class TestRobustness:
         # atomic rename: whichever store landed last, the entry decodes
         # and its digest matches — no torn interleaving is observable
         assert all(r["ok"] for r in cache.verify())
-        artifact, _ = cache.load(key)
-        assert artifact.function.name == cold.function.name
+        (traces, _), _ = cache.load(key)
+        assert len(traces) == len(cold.traces)
 
     def test_unpicklable_artifact_degrades_to_uncached(self, tmp_path,
                                                        capsys):
